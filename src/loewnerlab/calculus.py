@@ -7,7 +7,9 @@ entrywise by the first-divided-difference matrix, rotate back.  The second
 derivative adds one rank-one Schur term per eigenvector column using the
 anchored second divided differences, plus the first-order action on
 gamma''(t).  Coincident eigenvalues need no special casing -- the divided
-differences already degrade gracefully to derivative limits.
+differences already degrade gracefully to derivative limits.  f and f' are
+evaluated once per eigenvalue, and the divided-difference matrices are formed
+from those values by broadcast (divdiff._dd_tables).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divdiff import dd1, dd2
+from .divdiff import _dd_tables
 from .errors import UsageError
 from .functions import ScalarFunction
 from .hermitian import (
@@ -89,23 +91,12 @@ def chain_rule_context(path: MatrixPath, t: float) -> ChainRuleContext:
     return ChainRuleContext(decomposition=dec, rotated_velocity=hermitian_part(m))
 
 
-def _dd1_matrix(f: ScalarFunction, lam: np.ndarray) -> np.ndarray:
-    n = len(lam)
-    d = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = dd1(f, lam[i], lam[j])
-            d[i, j] = v
-            d[j, i] = v
-    return d
-
-
 def path_derivative(f: ScalarFunction, path: MatrixPath, t: float) -> HermitianMatrix:
     """d/dt f(gamma(t)) = U ( [dd1(f, l_i, l_j)] o (U* gamma' U) ) U*."""
     ctx = chain_rule_context(path, t)
     dec = ctx.decomposition
     _check_spectrum(f, dec)
-    d1 = _dd1_matrix(f, dec.eigenvalues)
+    d1, _ = _dd_tables(f, dec.eigenvalues, second=False)
     u = dec.unitary
     out = u @ (d1 * ctx.rotated_velocity) @ u.conj().T
     return HermitianMatrix(hermitian_part(out))
@@ -127,17 +118,12 @@ def path_second_derivative(
     lam = dec.eigenvalues
     u = dec.unitary
     n = len(lam)
+    d1, d2 = _dd_tables(f, lam)
     s = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
         ck = ctx.column(k)
-        d2k = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = dd2(f, lam[i], lam[j], lam[k])
-                d2k[i, j] = v
-                d2k[j, i] = v
-        s += 2.0 * d2k * np.outer(ck, ck.conj())
-    s += _dd1_matrix(f, lam) * (u.conj().T @ path.deriv2(t).entries @ u)
+        s += 2.0 * d2[k] * np.outer(ck, ck.conj())
+    s += d1 * (u.conj().T @ path.deriv2(t).entries @ u)
     out = u @ s @ u.conj().T
     return HermitianMatrix(hermitian_part(out))
 

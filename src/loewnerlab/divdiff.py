@@ -10,11 +10,21 @@ Coincidence handling uses a relative node threshold: nodes s, t merge when
 |s - t| <= TAU_NODE * max(1, |s|, |t|).  Sorting the nodes before the
 symmetric second-difference form makes dd2 exactly permutation invariant,
 including in floating point.
+
+The chain rule in calculus needs every dd1 and dd2 over a whole spectrum.
+_dd_tables evaluates f and f' once per node and forms all entries by numpy
+broadcast, bitwise equal to the scalar dd1/dd2.  loewner_matrix and
+second_dd_matrix keep their scalar loops: their callers (the order-n checks
+and the acceptance report) build thousands of matrices of order 2 to 8, where
+the fixed cost of the broadcast outweighs the loop; at n = 2 the broadcast is
+about seven times slower, and it is still slower at n = 8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -81,6 +91,74 @@ def dd2(f: ScalarFunction, a: float, b: float, c: float) -> float:
         + f(t2) / ((t2 - t1) * (t2 - t3))
         + f(t3) / ((t3 - t1) * (t3 - t2))
     )
+
+
+@lru_cache(maxsize=16)
+def _sorted_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index triples p <= q <= r of range(n), and for every (i, j, k) the
+    position of its sorted triple among them."""
+    triples = combinations_with_replacement(range(n), 3)
+    p, q, r = np.array(list(triples), dtype=np.intp).T
+    pos = np.empty((n, n, n), dtype=np.intp)
+    for axes in permutations((p, q, r)):
+        pos[axes] = np.arange(len(p))
+    for arr in (p, q, r, pos):
+        arr.setflags(write=False)
+    return p, q, r, pos
+
+
+def _dd_tables(
+    f: ScalarFunction, nodes, second: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """[dd1(f, t_i, t_j)] and, if second, [dd2(f, t_i, t_j, t_k)] over nodes.
+
+    f and f' are evaluated once per node and the entries formed by broadcast
+    over the sorted nodes, with the scalar expressions in the same operation
+    order, so every entry equals dd1/dd2 bitwise.  A distinct triple uses the
+    partial-fraction form on its sorted nodes; an exactly tied pair {x, x}
+    with a distinct third node y takes (f'(x) - dd1(f, y, x)) / (x - y) from
+    the cached values.  Near-but-unequal pairs and triple coincidences, which
+    evaluate f' or f'' at new points, go to the scalar dd1/dd2.
+    """
+    t = np.asarray(nodes, dtype=np.float64)
+    order = np.argsort(t, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(t))
+    s = t[order]
+    sl = s.tolist()
+    fs = np.array([f(x) for x in sl])
+    ds = np.array([f.deriv(x) for x in sl])
+    a = np.abs(s)
+    scale = np.maximum(np.maximum(1.0, a)[:, None], a)
+    near = np.abs(s[:, None] - s) <= TAU_NODE * scale
+    # here the coincidence limit f'((x + y) / 2) is the cached f'(x)
+    tie = (s[:, None] == s) & (0.5 * (s + s) == s)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = np.where(tie, ds[:, None], (fs - fs[:, None]) / (s - s[:, None]))
+    for i, j in zip(*np.nonzero(np.triu(near & ~tie))):
+        d1[i, j] = d1[j, i] = dd1(f, sl[i], sl[j])
+    if not second:
+        return d1[rank[:, None], rank], None
+    p, q, r, pos = _sorted_triples(len(t))
+    t1, t2, t3 = s[p], s[q], s[r]
+    low, high = near[p, q], near[q, r]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d2 = (
+            fs[p] / ((t1 - t2) * (t1 - t3))
+            + fs[q] / ((t2 - t1) * (t2 - t3))
+            + fs[r] / ((t3 - t1) * (t3 - t2))
+        )
+        # (f'(x) - dd1(f, y, x)) / (x - y) for a tied pair {x, x} and a third
+        # node y; the other near pairs are redone by the scalar dd2 below
+        for pair, x, y in ((high, q, p), (low, p, r)):
+            m = np.nonzero(pair)[0]
+            x, y = x[m], y[m]
+            d2[m] = (ds[x] - d1[y, x]) / (s[x] - s[y])
+    for m in np.nonzero((low & (high | ~tie[p, q])) | (high & ~tie[q, r]))[0]:
+        d2[m] = dd2(f, sl[p[m]], sl[q[m]], sl[r[m]])
+    if np.any(order != np.arange(len(t))):
+        pos = pos[np.ix_(rank, rank, rank)]
+    return d1[rank[:, None], rank], d2.take(pos)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericalFailure, UsageError
 from .hermitian import Interval, POSITIVE_AXIS
 
 # Classification tags (metadata only; every claim is re-checked numerically).
@@ -211,18 +211,26 @@ def _leggauss(n: int):
 
 
 def _adaptive_gl(g, start: int = 64, stop_tol: float = 1e-10, cap: int = 1024) -> float:
-    """Gauss-Legendre on [-1, 1], doubling nodes until the value settles."""
+    """Gauss-Legendre on [-1, 1], doubling nodes until the value settles.
+
+    Raises NumericalFailure if the value has not settled to stop_tol by cap
+    nodes.
+    """
     n = start
     x, w = _leggauss(n)
     prev = float(np.sum(w * np.array([g(xi) for xi in x])))
+    step = math.inf
     while n < cap:
         n *= 2
         x, w = _leggauss(n)
         cur = float(np.sum(w * np.array([g(xi) for xi in x])))
         if abs(cur - prev) < stop_tol:
             return cur
-        prev = cur
-    return prev
+        step, prev = abs(cur - prev), cur
+    raise NumericalFailure(
+        f"Gauss-Legendre quadrature did not settle to {stop_tol:g} by {n} nodes "
+        f"(last change {step:.3g})"
+    )
 
 
 @dataclass(frozen=True)

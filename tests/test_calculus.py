@@ -8,6 +8,7 @@ from loewnerlab.calculus import (
     path_derivative,
     path_second_derivative,
 )
+from loewnerlab.divdiff import dd1, dd2
 from loewnerlab.errors import UsageError
 from loewnerlab.functions import ScalarFunction, get_function
 from loewnerlab.hermitian import (
@@ -125,3 +126,65 @@ def test_path_value_spectrum_guard_on_derivatives():
     path = affine_path(a, h)
     with pytest.raises(UsageError):
         path_derivative(get_function("sqrt"), path, 1.0)  # eigenvalue -0.5
+
+
+def _counted(f, counter):
+    """f with every call of its value and derivative callables counted."""
+    def wrap(g):
+        if g is None:
+            return None
+
+        def c(x):
+            counter[0] += 1
+            return g(x)
+        return c
+
+    return ScalarFunction(f.name, f.domain, wrap(f.fn), wrap(f.d1), wrap(f.d2))
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_chain_rule_evaluates_f_once_per_eigenvalue(n):
+    # no closed-form f'': each triple coincidence i = j = k costs three calls
+    sqrt = get_function("sqrt")
+    f = ScalarFunction("sqrt_fd2", sqrt.domain, sqrt.fn, sqrt.d1)
+    rng = np.random.default_rng(n)
+    path = affine_path(random_hermitian(n, Interval(0.25, 4.0), rng),
+                       random_hermitian(n, Interval(-1.0, 1.0), rng))
+    counter = [0]
+    path_derivative(_counted(f, counter), path, 0.0)
+    assert counter[0] <= 2 * n
+    counter[0] = 0
+    path_second_derivative(_counted(f, counter), path, 0.0)
+    assert counter[0] <= 5 * n
+
+
+def _scalar_loop_second_derivative(f, path, t):
+    """The chain rule with one scalar dd1/dd2 call per entry."""
+    g = path.value(t)
+    lam, u = np.linalg.eigh(g.entries)
+    n = len(lam)
+    c = hermitian_part(u.conj().T @ path.deriv(t).entries @ u)
+    d1 = np.array([[dd1(f, lam[i], lam[j]) for j in range(n)] for i in range(n)])
+    s = np.zeros((n, n), dtype=np.complex128)
+    for k in range(n):
+        d2k = np.array([[dd2(f, lam[i], lam[j], lam[k]) for j in range(n)]
+                        for i in range(n)])
+        s += 2.0 * d2k * np.outer(c[:, k], c[:, k].conj())
+    s += d1 * (u.conj().T @ path.deriv2(t).entries @ u)
+    return hermitian_part(u @ s @ u.conj().T)
+
+
+@pytest.mark.parametrize("spectrum", [
+    [1.0, 2.0, 3.5, 0.7],
+    [1.0, 1.0, 2.0, 3.0],
+    [2.0, 2.0 + 1e-8, 2.0, 0.5],
+])
+@pytest.mark.parametrize("name", ["sqrt", "kernel:0.25", "square"])
+def test_path_second_derivative_equals_scalar_loop_bitwise(name, spectrum):
+    f = get_function(name)
+    rng = np.random.default_rng(9)
+    a = _herm(np.diag(spectrum))
+    h = random_hermitian(len(spectrum), Interval(-1.0, 1.0), rng)
+    path = affine_path(a, h)
+    got = path_second_derivative(f, path, 0.0).entries
+    assert got.tobytes() == _scalar_loop_second_derivative(f, path, 0.0).tobytes()

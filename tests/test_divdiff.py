@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loewnerlab.divdiff import (
+    TAU_NODE,
     NodeSet,
+    _dd_tables,
     dd1,
     dd2,
     difference_quotient_transform,
@@ -25,6 +27,16 @@ SQUARE = ScalarFunction("local_square", WIDE, lambda t: t * t,
 nodes_st = st.floats(min_value=0.1, max_value=50.0)
 
 
+def assert_tables_match_scalar(f, ts):
+    """_dd_tables equals loops over the scalar dd1/dd2, bitwise."""
+    d1 = np.array([[dd1(f, s, t) for t in ts] for s in ts])
+    d2 = np.array([[[dd2(f, a, b, c) for c in ts] for b in ts] for a in ts])
+    first, second = _dd_tables(f, ts)
+    assert first.tobytes() == d1.tobytes()
+    assert second.tobytes() == d2.tobytes()
+    assert _dd_tables(f, ts, second=False)[0].tobytes() == d1.tobytes()
+
+
 def test_nodeset_validation():
     ns = NodeSet((1.0, 2.0, 3.0), Interval(0.0, 10.0))
     assert len(ns) == 3
@@ -41,6 +53,7 @@ def test_nodeset_validation():
 def test_dd1_symmetric_bitwise(s, t):
     f = get_function("sqrt")
     assert dd1(f, s, t) == dd1(f, t, s)
+    assert_tables_match_scalar(f, [s, t])
 
 
 def test_dd1_values():
@@ -74,6 +87,31 @@ def test_dd2_permutation_invariant_bitwise(a, b, c):
     assert dd2(f, b, c, a) == base
     assert dd2(f, c, a, b) == base
     assert dd2(f, b, a, c) == base
+    assert_tables_match_scalar(f, [a, b, c, a * (1.0 + TAU_NODE)])
+
+
+GAP_BELOW = 0.5 * TAU_NODE * 2.0
+GAP_ABOVE = 1.01 * TAU_NODE * 2.0
+
+
+@pytest.mark.parametrize("ts", [
+    [0.3, 1.7, 4.0, 9.5],                        # distinct
+    [2.0, 1.0, 2.0, 3.0, 1.0],                   # exact ties, unsorted
+    [2.0, 2.0 + GAP_BELOW, 0.5, 5.0],            # a gap below TAU_NODE * scale
+    [2.0, 2.0 + GAP_ABOVE, 0.5, 5.0],            # a gap just above it
+    [1.0, 1.0 + 0.4 * TAU_NODE, 1.0 + 0.8 * TAU_NODE, 3.0],  # near triple
+    [3.0, 0.5, 3.0, 3.0],                        # triple ties
+    [1.5],                                       # n = 1
+])
+@pytest.mark.parametrize("name", ["sqrt", "kernel:0.25", "exp", "cube"])
+def test_dd_tables_bitwise_equal_to_scalar(name, ts):
+    assert_tables_match_scalar(get_function(name), ts)
+
+
+def test_dd_tables_finite_difference_derivatives_and_negative_nodes():
+    # no closed-form derivatives: every limit goes through the FD fallbacks
+    f = ScalarFunction("fd_cube", WIDE, lambda t: t**3)
+    assert_tables_match_scalar(f, [-2.0, 1.0, -2.0, -2.0 + 1e-8, 0.0, 4.0])
 
 
 def test_dd2_coincident_pair_limit():

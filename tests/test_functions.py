@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loewnerlab.errors import UsageError
+from loewnerlab.errors import NumericalFailure, UsageError
 from loewnerlab.functions import (
     OPERATOR_MONOTONE,
     Mollifier,
@@ -105,6 +105,13 @@ def test_mollify_reproduces_affine_functions():
     f = ScalarFunction("affine", Interval(-10.0, 10.0), lambda t: 3.0 * t + 2.0)
     np.testing.assert_allclose(mollify(f, 0.25, 1.0), 5.0, atol=1e-10)
     np.testing.assert_allclose(mollify_derivative(f, 0.25, 1.0), 3.0, atol=1e-9)
+
+
+def test_mollify_raises_when_quadrature_does_not_settle():
+    # the kink of |t| at x keeps Gauss-Legendre from settling by 1024 nodes
+    f = ScalarFunction("abs", Interval(-10.0, 10.0), abs)
+    with pytest.raises(NumericalFailure):
+        mollify(f, 0.5, 0.0)
 
 
 def test_mollify_window_must_fit_in_domain():
