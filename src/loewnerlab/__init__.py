@@ -27,7 +27,6 @@ from .choquet import (
     kernel_barycenter_demo,
 )
 from .connections import (
-    ConnectionSpec,
     arithmetic_spec,
     connection_from_function,
     evaluate_connection,
@@ -35,7 +34,6 @@ from .connections import (
     geometric_spec,
     harmonic_spec,
     parallel_sum,
-    representing_function,
 )
 from .divdiff import (
     LoewnerMatrix,
@@ -72,9 +70,7 @@ from .hermitian import (
     spectrum_in,
 )
 from .measures import (
-    MeasureInf,
     RadonMeasure01,
-    convert_measure,
     default_lambda_grid,
     endpoint_masses,
     fit_measure,
@@ -100,7 +96,6 @@ __all__ = [
     "__version__",
     "BarycenterResult",
     "CheckRecord",
-    "ConnectionSpec",
     "CRITERIA",
     "GridFunction",
     "HermitianMatrix",
@@ -108,7 +103,6 @@ __all__ = [
     "Interval",
     "LoewnerMatrix",
     "MatrixPath",
-    "MeasureInf",
     "Mollifier",
     "NodeSet",
     "NumericalFailure",
@@ -132,7 +126,6 @@ __all__ = [
     "check_monotone_order_n",
     "concave_envelope",
     "connection_from_function",
-    "convert_measure",
     "dd1",
     "dd2",
     "default_lambda_grid",
@@ -163,7 +156,6 @@ __all__ = [
     "random_hermitian",
     "random_ordered_pair",
     "regularize_sequence",
-    "representing_function",
     "run_acceptance",
     "second_dd_matrix",
     "spectrum_in",

@@ -9,6 +9,7 @@ default, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -17,9 +18,7 @@ from ._version import __version__
 from .acceptance import criterion_names, run_acceptance
 from .choquet import caratheodory_decompose, concave_envelope
 from .connections import (
-    ConnectionSpec,
     arithmetic_spec,
-    connection_from_spec_measure,
     evaluate_connection,
     geometric_spec,
     harmonic_spec,
@@ -39,15 +38,7 @@ from .fileio import (
 )
 from .functions import get_function
 from .hermitian import Interval
-from .measures import (
-    MeasureInf,
-    RadonMeasure01,
-    convert_measure,
-    default_lambda_grid,
-    fit_measure,
-    s_from_lambda,
-    synthesize,
-)
+from .measures import RadonMeasure01, default_lambda_grid, fit_measure, synthesize
 from .monotonicity import (
     check_convex_order_n,
     check_midpoint_concavity,
@@ -140,10 +131,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    mu = load_measure(args.measure)
-    if isinstance(mu, MeasureInf):
-        mu = convert_measure(mu)
-    f = synthesize(mu)
+    if not (0.0 < args.tmin <= args.tmax < math.inf):
+        raise UsageError(
+            f"--tmin/--tmax must satisfy 0 < tmin <= tmax < inf, got {args.tmin}, {args.tmax}"
+        )
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
+    f = synthesize(load_measure(args.measure))
     ts = np.geomspace(args.tmin, args.tmax, args.count)
     pairs = [(float(t), f(float(t))) for t in ts]
     if args.format == "json":
@@ -154,7 +148,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _resolve_connection(name: str) -> ConnectionSpec:
+def _resolve_connection(name: str) -> RadonMeasure01:
     if name == "arithmetic":
         return arithmetic_spec()
     if name == "harmonic":
@@ -168,19 +162,7 @@ def _resolve_connection(name: str) -> ConnectionSpec:
             raise UsageError(f"bad node count in {name!r}") from exc
         return geometric_spec(n)
     # anything else is a path to a measure JSON file
-    mu = load_measure(name)
-    if isinstance(mu, RadonMeasure01):
-        alpha = beta = 0.0
-        interior = []
-        for lam, w in mu.atoms + mu.quad:
-            if lam == 0.0:
-                alpha += w
-            elif lam == 1.0:
-                beta += w
-            else:
-                interior.append((s_from_lambda(lam), w))
-        return ConnectionSpec(alpha=alpha, beta=beta, interior=tuple(interior))
-    return connection_from_spec_measure(mu)
+    return load_measure(name)
 
 
 def cmd_mean(args) -> int:

@@ -1,17 +1,18 @@
-"""Operator connections and means built from parallel sums.
+"""Kubo-Ando connections, given by their representing measure on [0, 1].
 
 A connection acts on positive definite pairs as
 
-    A # B  =  alpha*A + beta*B + sum_k w_k * ((1+s_k)/s_k) * (s_k A : B)
+    A # B  =  int ((1-lam) A^-1 + lam B^-1)^-1 dmu(lam),
 
-where A : B = (A^-1 + B^-1)^-1 is the parallel sum.  The scalar shadow
-alpha + beta*x + sum w x(1+s)/(x+s) is the representing function: evaluating
-the connection on (I, x I) and reading off the diagonal.  Classic instances:
-arithmetic (alpha = beta = 1/2), harmonic (single atom s = 1, w = 1), and the
-geometric mean, whose representing measure for sqrt is discretized here by a
-midpoint rule in the angle substitution s = tan^2(theta) -- the substitution
-under which that measure is exactly uniform, so the midpoint rule converges
-at fourth order.
+with mu the RadonMeasure01 whose kernel mixture synthesize(mu) is the
+representing function of the connection: evaluating it on (I, x I) and
+reading off the diagonal gives  sum w * kernel01(lam, x).  The atoms at
+lam = 0 and lam = 1 contribute alpha*A and beta*B; every interior atom is a
+weighted, rescaled parallel sum.  Classic instances: arithmetic (mass 1/2 at
+each end), harmonic (one atom at lam = 1/2 with weight 1, i.e. 2(A:B)), and
+the geometric mean, whose measure dlam / (pi sqrt(lam(1-lam))) is uniform in
+the angle of lam = sin^2(theta) and is discretized there by a midpoint rule,
+which converges at fourth order.
 
 All inversions go through eigendecompositions with reciprocal eigenvalues
 and a condition-number guard.
@@ -20,82 +21,40 @@ and a condition-number guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure, UsageError
-from .functions import OPERATOR_MONOTONE, ScalarFunction
-from .hermitian import (
-    HermitianMatrix,
-    POSITIVE_AXIS,
-    eigendecompose,
-    hermitian_part,
-)
-from .measures import (
-    MeasureInf,
-    RadonMeasure01,
-    convert_measure,
-    default_lambda_grid,
-    fit_measure,
-    s_from_lambda,
-    synthesize,
-)
+from .functions import ScalarFunction
+from .hermitian import HermitianMatrix, eigendecompose, hermitian_part
+from .measures import RadonMeasure01, default_lambda_grid, fit_measure
 
 #: Refuse reciprocal-eigenvalue inversion beyond this condition number.
 CONDITION_CAP = 1e12
 
 
-@dataclass(frozen=True)
-class ConnectionSpec:
-    """Endpoint coefficients and interior atoms of a connection's measure."""
-
-    alpha: float = 0.0
-    beta: float = 0.0
-    interior: tuple = ()
-
-    def __post_init__(self):
-        for label, v in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise UsageError(f"{label} must be finite and >= 0, got {v}")
-        interior = []
-        for s, w in self.interior:
-            s, w = float(s), float(w)
-            if not (math.isfinite(s) and s > 0.0):
-                raise UsageError(f"interior position {s} must be in (0, inf)")
-            if not (math.isfinite(w) and w > 0.0):
-                raise UsageError(f"interior weight {w} must be positive")
-            interior.append((s, w))
-        object.__setattr__(self, "interior", tuple(interior))
-        if self.alpha == 0.0 and self.beta == 0.0 and not self.interior:
-            raise UsageError("connection must carry some mass")
-
-    def as_measure(self) -> MeasureInf:
-        return MeasureInf(mass0=self.alpha, massInf=self.beta, interior=self.interior)
+def arithmetic_spec() -> RadonMeasure01:
+    return RadonMeasure01(atoms=((0.0, 0.5), (1.0, 0.5)))
 
 
-def arithmetic_spec() -> ConnectionSpec:
-    return ConnectionSpec(alpha=0.5, beta=0.5)
+def harmonic_spec() -> RadonMeasure01:
+    """2(A:B): one interior atom at lam = 1/2 with weight 1."""
+    return RadonMeasure01(atoms=((0.5, 1.0),))
 
 
-def harmonic_spec() -> ConnectionSpec:
-    """2(A:B): one interior atom at s = 1 with weight 1."""
-    return ConnectionSpec(interior=((1.0, 1.0),))
+def geometric_spec(n_nodes: int = 200) -> RadonMeasure01:
+    """Midpoint discretization of the representing measure of the geometric mean.
 
-
-def geometric_spec(n_nodes: int = 200) -> ConnectionSpec:
-    """Midpoint discretization of the geometric mean's representing measure.
-
-    In s = tan^2(theta) the measure ds/(pi sqrt(s) (1+s)) becomes uniform on
-    theta in (0, pi/2), so n midpoint nodes with equal weights 1/n inherit
-    fourth-order accuracy (the integrand is even at both ends).
+    With lam = sin^2(theta) the measure dlam / (pi sqrt(lam (1-lam))) becomes
+    uniform on theta in (0, pi/2), so n midpoint nodes with equal weights
+    1/n inherit fourth-order accuracy (the integrand is even at both ends).
     """
     if n_nodes < 1:
         raise UsageError(f"need at least one node, got {n_nodes}")
     theta = (np.arange(n_nodes) + 0.5) * (math.pi / 2.0) / n_nodes
-    s = np.tan(theta) ** 2
+    lam = np.sin(theta) ** 2
     w = 1.0 / n_nodes
-    return ConnectionSpec(interior=tuple((float(sk), w) for sk in s))
+    return RadonMeasure01(atoms=tuple((float(lk), w) for lk in lam))
 
 
 def _pd_eigendecompose(a: HermitianMatrix, label: str):
@@ -128,113 +87,53 @@ def parallel_sum(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
 
 
 def _batched_parallel_terms(
-    spec: ConnectionSpec, a: HermitianMatrix, b: HermitianMatrix
+    atoms, a: HermitianMatrix, b: HermitianMatrix
 ) -> np.ndarray:
-    """sum_k w_k ((1+s_k)/s_k) (s_k A : B), all atoms in one batched solve."""
+    """sum_k w_k ((1-lam_k) A^-1 + lam_k B^-1)^-1, all atoms in one batched solve."""
     ainv = invert_pd(a, "left operand").entries
     binv = invert_pd(b, "right operand").entries
-    s = np.array([sk for sk, _ in spec.interior])
-    w = np.array([wk for _, wk in spec.interior])
-    stack = ainv[None, :, :] / s[:, None, None] + binv[None, :, :]
+    lam = np.array([lk for lk, _ in atoms])[:, None, None]
+    w = np.array([wk for _, wk in atoms])
+    stack = (1.0 - lam) * ainv + lam * binv
     try:
-        lam, u = np.linalg.eigh(stack)
+        ev, u = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"batched eigendecomposition failed: {exc}") from exc
-    if not lam.min() > 0.0:
+    if not ev.min() > 0.0:
         raise NumericalFailure("parallel-sum stack lost positive definiteness")
-    if (lam.max(axis=1) / lam.min(axis=1)).max() > CONDITION_CAP:
+    if (ev.max(axis=1) / ev.min(axis=1)).max() > CONDITION_CAP:
         raise NumericalFailure("parallel-sum stack too ill-conditioned to invert")
-    inv = (u / lam[:, None, :]) @ np.conjugate(np.swapaxes(u, 1, 2))
-    coeff = w * (1.0 + s) / s
-    return np.tensordot(coeff, inv, axes=(0, 0))
+    inv = (u / ev[:, None, :]) @ np.conjugate(np.swapaxes(u, 1, 2))
+    return np.tensordot(w, inv, axes=(0, 0))
 
 
 def evaluate_connection(
-    spec: ConnectionSpec, a: HermitianMatrix, b: HermitianMatrix
+    mu: RadonMeasure01, a: HermitianMatrix, b: HermitianMatrix
 ) -> HermitianMatrix:
-    """Apply the connection to a positive definite pair."""
+    """Apply the connection of mu to a positive definite pair."""
     a._check_same_dim(b)
     _pd_eigendecompose(a, "left operand")
     _pd_eigendecompose(b, "right operand")
-    acc = spec.alpha * a.entries + spec.beta * b.entries
-    if spec.interior:
-        acc = acc + _batched_parallel_terms(spec, a, b)
+    acc = mu.alpha * a.entries + mu.beta * b.entries
+    inner = [(lam, w) for lam, w in mu.atoms if 0.0 < lam < 1.0]
+    if inner:
+        acc = acc + _batched_parallel_terms(inner, a, b)
     return HermitianMatrix(hermitian_part(acc))
-
-
-def representing_function(spec: ConnectionSpec) -> ScalarFunction:
-    """The scalar shadow alpha + beta*x + sum w x(1+s)/(x+s) on (0, inf)."""
-    alpha, beta, interior = spec.alpha, spec.beta, spec.interior
-
-    def fn(x):
-        if not x > 0.0:
-            raise UsageError(f"representing function needs x > 0, got {x}")
-        acc = alpha + beta * x
-        for s, w in interior:
-            acc += w * x * (1.0 + s) / (x + s)
-        return acc
-
-    def d1(x):
-        acc = beta
-        for s, w in interior:
-            acc += w * (1.0 + s) * s / (x + s) ** 2
-        return acc
-
-    def d2(x):
-        acc = 0.0
-        for s, w in interior:
-            acc += -2.0 * w * (1.0 + s) * s / (x + s) ** 3
-        return acc
-
-    return ScalarFunction(
-        name="connection_fn",
-        domain=POSITIVE_AXIS,
-        fn=fn,
-        d1=d1,
-        d2=d2,
-        claimed_class=OPERATOR_MONOTONE,
-    )
-
-
-def connection_from_spec_measure(m: MeasureInf) -> ConnectionSpec:
-    return ConnectionSpec(alpha=m.mass0, beta=m.massInf, interior=m.interior)
 
 
 def connection_from_function(
     f: ScalarFunction, grid=None, samples=None
-) -> tuple[ConnectionSpec, float]:
+) -> tuple[RadonMeasure01, float]:
     """Recover a connection whose representing function matches f.
 
-    Fits an atom measure on the [0, 1] grid to samples of f, then maps atoms
-    at 0 and 1 to the endpoint coefficients and interior atoms to
-    s = lam/(1-lam).  Returns the spec together with the fit residual.
+    Fits an atom measure on the [0, 1] grid to samples of f and returns it
+    together with the fit residual.
     """
     if grid is None:
         grid = default_lambda_grid(200)
     if samples is None:
         samples = np.geomspace(1e-3, 1e3, 60)
-    pairs = [(float(t), f(float(t))) for t in samples]
-    mu, residual = fit_measure(pairs, grid)
-    alpha = beta = 0.0
-    interior = []
-    for lam, w in mu.atoms + mu.quad:
-        if lam == 0.0:
-            alpha += w
-        elif lam == 1.0:
-            beta += w
-        else:
-            interior.append((s_from_lambda(lam), w))
-    return ConnectionSpec(alpha=alpha, beta=beta, interior=tuple(interior)), residual
-
-
-def connection_measure_on_01(spec: ConnectionSpec) -> RadonMeasure01:
-    """The spec's measure pushed onto [0, 1] (for synthesis/comparison)."""
-    return convert_measure(spec.as_measure())
-
-
-def synthesized_representing_function(spec: ConnectionSpec) -> ScalarFunction:
-    """Same function as representing_function, via the [0, 1] kernel route."""
-    return synthesize(connection_measure_on_01(spec))
+    return fit_measure([(float(t), f(float(t))) for t in samples], grid)
 
 
 def matrix_sqrt(a: HermitianMatrix) -> HermitianMatrix:

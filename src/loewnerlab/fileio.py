@@ -2,9 +2,12 @@
 
 Matrices travel as JSON {"n": n, "entries": [[[re, im], ...], ...]} or, for
 real symmetric input, as bare CSV (n rows of n comma-separated reals).
-Measures use {"atoms": [{"lambda": l, "w": w}, ...], "quad": [...]} on [0, 1]
-and {"mass0": a, "massInf": b, "interior": [{"s": s, "w": w}, ...]} on the
-extended half-line.  Scalar samples and grid functions are two-column CSV.
+A measure is one RadonMeasure01 on lam in [0, 1], read from either of two
+schemas: {"atoms": [{"lambda": l, "w": w}, ...], "quad": [...]}, whose quad
+nodes must be interior and join the atoms, or the half-line form
+{"mass0": a, "massInf": b, "interior": [{"s": s, "w": w}, ...]}, converted by
+RadonMeasure01.from_half_line.  Measures are written in the lambda schema.
+Scalar samples and grid functions are two-column CSV.
 All loaders raise UsageError with the offending file (and line, for CSV)
 named in the message.
 """
@@ -18,10 +21,9 @@ import math
 import numpy as np
 
 from .choquet import GridFunction
-from .connections import ConnectionSpec
 from .errors import UsageError
 from .hermitian import HermitianMatrix
-from .measures import MeasureInf, RadonMeasure01
+from .measures import RadonMeasure01
 
 
 def _load_json(path: str):
@@ -150,48 +152,40 @@ def _pairs(data, key: str, a_key: str, path: str):
     return tuple(out)
 
 
-def load_measure(path: str):
-    """Either measure form, keyed by its fields; returns the matching type."""
+def load_measure(path: str) -> RadonMeasure01:
+    """A measure in either schema, keyed by its fields."""
     data = _load_json(path)
     if not isinstance(data, dict):
         raise UsageError(f"{path}: measure JSON must be an object")
     if "mass0" in data or "massInf" in data or "interior" in data:
+        mass0 = _require_number(data.get("mass0", 0.0), "mass0", path)
+        mass_inf = _require_number(data.get("massInf", 0.0), "massInf", path)
+        interior = _pairs(data, "interior", "s", path)
         try:
-            return MeasureInf(
-                mass0=_require_number(data.get("mass0", 0.0), "mass0", path),
-                massInf=_require_number(data.get("massInf", 0.0), "massInf", path),
-                interior=_pairs(data, "interior", "s", path),
-            )
-        except (UsageError, ValueError) as exc:
+            return RadonMeasure01.from_half_line(mass0, mass_inf, interior)
+        except UsageError as exc:
             raise UsageError(f"{path}: {exc}") from exc
     if "atoms" in data or "quad" in data:
+        atoms = _pairs(data, "atoms", "lambda", path)
+        quad = _pairs(data, "quad", "lambda", path)
+        for lam, _ in quad:
+            if not 0.0 < lam < 1.0:
+                raise UsageError(f"{path}: quadrature node {lam} must be interior to (0, 1)")
         try:
-            return RadonMeasure01(
-                atoms=_pairs(data, "atoms", "lambda", path),
-                quad=_pairs(data, "quad", "lambda", path),
-            )
-        except (UsageError, ValueError) as exc:
+            return RadonMeasure01(atoms=atoms + quad)
+        except UsageError as exc:
             raise UsageError(f"{path}: {exc}") from exc
     raise UsageError(
         f'{path}: measure JSON needs "atoms"/"quad" or "mass0"/"massInf"/"interior"'
     )
 
 
-def measure_to_obj(m) -> dict:
-    if isinstance(m, RadonMeasure01):
-        return {
-            "atoms": [{"lambda": l, "w": w} for l, w in m.atoms],
-            "quad": [{"lambda": l, "w": w} for l, w in m.quad],
-        }
-    if isinstance(m, MeasureInf):
-        return {
-            "mass0": m.mass0,
-            "massInf": m.massInf,
-            "interior": [{"s": s, "w": w} for s, w in m.interior],
-        }
-    if isinstance(m, ConnectionSpec):
-        return measure_to_obj(m.as_measure())
-    raise UsageError(f"cannot serialize {type(m).__name__} as a measure")
+def measure_to_obj(m: RadonMeasure01) -> dict:
+    # every node is an atom; the empty quad list keeps the written schema
+    return {
+        "atoms": [{"lambda": l, "w": w} for l, w in m.atoms],
+        "quad": [],
+    }
 
 
 def load_samples_csv(path: str) -> list:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,26 +81,36 @@ class ScalarFunction:
         )
 
 
+def kernel01(lam, t):
+    """The Moebius kernel t / (lam + (1-lam) t), exactly 1 at t = 1.
+
+    Plain arithmetic, so lam and t may be floats or broadcast arrays; the
+    catalog's kernel:lam members, synthesize and fit_measure all evaluate it
+    here.
+    """
+    return t / (lam + (1.0 - lam) * t)
+
+
+def kernel01_d1(lam, t):
+    """d/dt kernel01(lam, t) = lam / (lam + (1-lam) t)^2."""
+    den = lam + (1.0 - lam) * t
+    return lam / (den * den)
+
+
+def kernel01_d2(lam, t):
+    """d^2/dt^2 kernel01(lam, t) = -2 lam (1-lam) / (lam + (1-lam) t)^3."""
+    den = lam + (1.0 - lam) * t
+    return -2.0 * lam * (1.0 - lam) / (den * den * den)
+
+
 def _moebius_kernel(lam: float) -> ScalarFunction:
     l = float(lam)
-
-    def fn(t):
-        return t / (l + (1.0 - l) * t)
-
-    def d1(t):
-        den = l + (1.0 - l) * t
-        return l / (den * den)
-
-    def d2(t):
-        den = l + (1.0 - l) * t
-        return -2.0 * l * (1.0 - l) / (den * den * den)
-
     return ScalarFunction(
         name=f"kernel:{l:g}",
         domain=POSITIVE_AXIS,
-        fn=fn,
-        d1=d1,
-        d2=d2,
+        fn=partial(kernel01, l),
+        d1=partial(kernel01_d1, l),
+        d2=partial(kernel01_d2, l),
         claimed_class=OPERATOR_MONOTONE,
     )
 

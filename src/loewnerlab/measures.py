@@ -1,11 +1,17 @@
-"""Discrete representing measures and the kernel mixtures they synthesize.
+"""Representing measures on [0, 1] and the kernel mixtures they synthesize.
 
 A positive operator monotone function on (0, inf) is an integral of Moebius
-kernels against a finite measure.  Two equivalent coordinate systems are
-used: atoms at lam in [0, 1] with kernel  kernel01(lam, t) = t/(lam+(1-lam)t),
-and atoms at s in [0, inf] with kernel  t(1+s)/(t+s).  The substitution
-lam = s/(1+s) identifies them; the [0, inf] endpoint masses live in explicit
-mass0/massInf fields rather than as floating-point infinities.
+kernels  kernel01(lam, t) = t/(lam + (1-lam)t)  against a finite measure on
+lam in [0, 1], and the same measure defines a Kubo-Ando connection
+(see connections).  RadonMeasure01 is that measure, the one coordinate of
+the package: (lam, w) atoms in construction order, with the endpoint masses
+as ordinary atoms at lam = 0 (the constant 1) and lam = 1 (the identity).
+
+The half-line coordinate s = lam/(1-lam), in which the kernel reads
+t(1+s)/(t+s), is a file format and a view: from_half_line reads endpoint
+masses and s atoms in, and alpha, beta and interior read them back out.
+kernel_inf and lambda_from_s remain as the scalar s-coordinate references
+that cross-checks compare against.
 
 synthesize turns a measure into a ScalarFunction; fit_measure inverts it by
 nonnegative least squares on a fixed atom grid; endpoint_masses reads the
@@ -18,101 +24,87 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .errors import NumericalFailure, UsageError
-from .functions import OPERATOR_MONOTONE, ScalarFunction
+from .functions import OPERATOR_MONOTONE, ScalarFunction, kernel01, kernel01_d1, kernel01_d2
 from .hermitian import POSITIVE_AXIS
 
 #: Atoms with fitted weight at or below this floor are dropped.
 W_FLOOR = 1e-10
 
 
-def _validate_atoms(atoms, lo, hi, what):
-    seen = set()
-    out = []
-    for pair in atoms:
-        lam, w = pair
-        lam, w = float(lam), float(w)
-        if not (math.isfinite(lam) and lo <= lam <= hi):
-            raise UsageError(f"{what} position {lam} outside [{lo}, {hi}]")
-        if not (math.isfinite(w) and w > 0.0):
-            raise UsageError(f"{what} weight {w} must be positive and finite")
-        if lam in seen:
-            raise UsageError(f"duplicate {what} position {lam}")
-        seen.add(lam)
-        out.append((lam, w))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class RadonMeasure01:
-    """Finite nonnegative measure on [0, 1]: point atoms plus an optional
-    quadrature part (interior nodes standing in for a continuous density)."""
+    """Finite nonnegative measure on [0, 1] as (lam, w) point atoms.
+
+    Positions are distinct and weights positive; the atoms keep their
+    construction order, which fixes the summation order of total_mass and
+    synthesize.
+    """
 
     atoms: tuple = ()
-    quad: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", _validate_atoms(self.atoms, 0.0, 1.0, "atom"))
-        quad = _validate_atoms(self.quad, 0.0, 1.0, "quadrature node")
-        for lam, _ in quad:
-            if not 0.0 < lam < 1.0:
-                raise UsageError(f"quadrature node {lam} must be interior to (0, 1)")
-        object.__setattr__(self, "quad", quad)
-        if not (self.atoms or self.quad):
-            raise UsageError("measure must carry at least one atom or node")
+        seen = set()
+        out = []
+        for lam, w in self.atoms:
+            lam, w = float(lam), float(w)
+            if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
+                raise UsageError(f"atom position {lam} outside [0, 1]")
+            if not (math.isfinite(w) and w > 0.0):
+                raise UsageError(f"atom weight {w} must be positive and finite")
+            if lam in seen:
+                raise UsageError(f"duplicate atom position {lam}")
+            seen.add(lam)
+            out.append((lam, w))
+        if not out:
+            raise UsageError("measure must carry at least one atom")
+        object.__setattr__(self, "atoms", tuple(out))
+
+    @classmethod
+    def from_half_line(cls, mass0=0.0, mass_inf=0.0, interior=()) -> "RadonMeasure01":
+        """The measure of  t -> mass0 + mass_inf*t + sum w t(1+s)/(t+s).
+
+        mass0 and mass_inf become atoms at 0 and 1 and each interior s in
+        (0, inf) moves to lam = s/(1+s); two positions that land on the same
+        lam are rejected like any repeated atom.
+        """
+        for label, v in (("mass0", mass0), ("massInf", mass_inf)):
+            if not (math.isfinite(v) and v >= 0.0):
+                raise UsageError(f"{label} must be finite and >= 0, got {v}")
+        atoms = [(0.0, mass0)] if mass0 > 0.0 else []
+        for s, w in interior:
+            if not (math.isfinite(s) and s > 0.0):
+                raise UsageError(f"interior position {s} must be in (0, inf)")
+            atoms.append((lambda_from_s(s), w))
+        if mass_inf > 0.0:
+            atoms.append((1.0, mass_inf))
+        return cls(atoms=tuple(atoms))
+
+    @cached_property
+    def alpha(self) -> float:
+        """Weight at lam = 0: the constant term, coefficient of A in A # B."""
+        return dict(self.atoms).get(0.0, 0.0)
+
+    @cached_property
+    def beta(self) -> float:
+        """Weight at lam = 1: the linear term, coefficient of B in A # B."""
+        return dict(self.atoms).get(1.0, 0.0)
+
+    @cached_property
+    def interior(self) -> tuple:
+        """(s, w) = (lam/(1-lam), w) for every atom with 0 < lam < 1."""
+        return tuple((lam / (1.0 - lam), w) for lam, w in self.atoms if 0.0 < lam < 1.0)
 
     def total_mass(self) -> float:
         acc = 0.0
         for _, w in self.atoms:
             acc += w
-        for _, w in self.quad:
-            acc += w
         return acc
-
-
-@dataclass(frozen=True)
-class MeasureInf:
-    """Finite nonnegative measure on [0, inf]: endpoint masses at 0 and
-    infinity plus interior atoms at s in (0, inf)."""
-
-    mass0: float = 0.0
-    massInf: float = 0.0
-    interior: tuple = ()
-
-    def __post_init__(self):
-        for label, v in (("mass0", self.mass0), ("massInf", self.massInf)):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise UsageError(f"{label} must be finite and >= 0, got {v}")
-        interior = []
-        seen = set()
-        for s, w in self.interior:
-            s, w = float(s), float(w)
-            if not (math.isfinite(s) and s > 0.0):
-                raise UsageError(f"interior position {s} must be in (0, inf)")
-            if not (math.isfinite(w) and w > 0.0):
-                raise UsageError(f"interior weight {w} must be positive")
-            if s in seen:
-                raise UsageError(f"duplicate interior position {s}")
-            seen.add(s)
-            interior.append((s, w))
-        object.__setattr__(self, "interior", tuple(interior))
-        if self.mass0 == 0.0 and self.massInf == 0.0 and not self.interior:
-            raise UsageError("measure must carry some mass")
-
-    def total_mass(self) -> float:
-        acc = self.mass0 + self.massInf
-        for _, w in self.interior:
-            acc += w
-        return acc
-
-
-def kernel01(lam: float, t: float) -> float:
-    """t / (lam + (1-lam) t) for t > 0; equals 1 exactly at t = 1."""
-    return t / (lam + (1.0 - lam) * t)
 
 
 def kernel_inf(s: float, x: float) -> float:
@@ -129,22 +121,18 @@ def lambda_from_s(s: float) -> float:
     return s / (1.0 + s)
 
 
-def s_from_lambda(lam: float) -> float:
-    if lam >= 1.0:
-        return math.inf
-    return lam / (1.0 - lam)
-
-
 def synthesize(mu: RadonMeasure01) -> ScalarFunction:
-    """The kernel mixture  t -> sum w * kernel01(lam, t)  as a ScalarFunction.
+    """The kernel mixture  t -> sum w * kernel01(lam, t)  on (0, inf).
 
     Its value at t = 1 is the total mass of mu, bitwise, because every kernel
     evaluates to exactly 1 there and the accumulation order matches
-    total_mass().
+    total_mass().  Evaluating at t <= 0 (or NaN) raises UsageError.
     """
-    pairs = mu.atoms + mu.quad
+    pairs = mu.atoms
 
     def fn(t):
+        if not t > 0.0:
+            raise UsageError(f"kernel mixture needs t > 0, got {t}")
         acc = 0.0
         for lam, w in pairs:
             acc += w * kernel01(lam, t)
@@ -153,15 +141,13 @@ def synthesize(mu: RadonMeasure01) -> ScalarFunction:
     def d1(t):
         acc = 0.0
         for lam, w in pairs:
-            den = lam + (1.0 - lam) * t
-            acc += w * lam / (den * den)
+            acc += w * kernel01_d1(lam, t)
         return acc
 
     def d2(t):
         acc = 0.0
         for lam, w in pairs:
-            den = lam + (1.0 - lam) * t
-            acc += w * (-2.0) * lam * (1.0 - lam) / (den**3)
+            acc += w * kernel01_d2(lam, t)
         return acc
 
     return ScalarFunction(
@@ -172,19 +158,6 @@ def synthesize(mu: RadonMeasure01) -> ScalarFunction:
         d2=d2,
         claimed_class=OPERATOR_MONOTONE,
     )
-
-
-def convert_measure(m: MeasureInf) -> RadonMeasure01:
-    """Push a [0, inf] measure onto [0, 1]: masses at the endpoints become
-    atoms at 0 and 1, interior atoms move by s -> s/(1+s)."""
-    atoms = []
-    if m.mass0 > 0.0:
-        atoms.append((0.0, m.mass0))
-    for s, w in m.interior:
-        atoms.append((lambda_from_s(s), w))
-    if m.massInf > 0.0:
-        atoms.append((1.0, m.massInf))
-    return RadonMeasure01(atoms=tuple(atoms))
 
 
 def _aitken(v1: float, v2: float, v3: float) -> float:
@@ -256,16 +229,16 @@ def fit_measure(
         raise UsageError("empty atom grid")
     if np.unique(grid).size != grid.size:
         raise UsageError("atom grid positions must be distinct")
-    if grid.min() < 0.0 or grid.max() > 1.0:
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
         raise UsageError("atom grid must lie in [0, 1]")
     for t, y in samples:
-        if not t > 0.0:
-            raise UsageError(f"sample points must be positive, got t = {t}")
-        if not y > 0.0:
-            raise UsageError(f"sample values must be positive, got f({t}) = {y}")
+        if not (math.isfinite(t) and t > 0.0):
+            raise UsageError(f"sample points must be positive and finite, got t = {t}")
+        if not (math.isfinite(y) and y > 0.0):
+            raise UsageError(f"sample values must be positive and finite, got f({t}) = {y}")
     ts = np.array([t for t, _ in samples])
     ys = np.array([y for _, y in samples])
-    k = ts[:, None] / (grid[None, :] + (1.0 - grid[None, :]) * ts[:, None])
+    k = kernel01(grid[None, :], ts[:, None])
 
     try:
         if mass_constraint is None:

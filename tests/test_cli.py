@@ -139,6 +139,22 @@ def test_synth_accepts_half_line_measure(tmp_path, capsys):
         assert v == pytest.approx(0.25 + 0.75 * t, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--tmin", "-2", "--tmax", "-2"),
+    ("--tmin", "-4", "--tmax", "-1"),
+    ("--tmin", "0"),
+    ("--tmin", "nan"),
+    ("--tmin", "4", "--tmax", "2"),
+    ("--tmax", "inf"),
+    ("--count", "0"),
+])
+def test_synth_rejects_bad_sample_range(tmp_path, capsys, argv):
+    mu = write(tmp_path, "mu.json", '{"atoms": [{"lambda": 0.5, "w": 1.0}]}')
+    code, out, err = run(capsys, "synth", mu, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: --")
+
+
 def test_synth_then_fit_roundtrip(tmp_path, capsys):
     mu = write(tmp_path, "mu.json", '{"atoms": [{"lambda": 1.0, "w": 1.0}]}')
     code, _, _ = run(capsys, "synth", mu, "--out", str(tmp_path / "s.csv"))
@@ -200,6 +216,20 @@ def test_mean_with_measure_file_spec(tmp_path, capsys):
     code, out, _ = run(capsys, "mean", spec, a, b)
     assert code == 0
     assert json.loads(out)["entries"][0][0][0] == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", ["1e-310", "5e-324"])
+def test_mean_with_tiny_interior_position_is_left_operand(tmp_path, capsys, s):
+    # s -> 0 moves the atom to lam -> 0, whose term is A itself
+    spec = write(tmp_path, "spec.json", '{"interior": [{"s": %s, "w": 1.0}]}' % s)
+    rows_a = [[2.0, 0.5], [0.5, 1.0]]
+    a = _matrix_csv(tmp_path, "a.csv", rows_a)
+    b = _matrix_csv(tmp_path, "b.csv", [[3.0, -0.25], [-0.25, 2.0]])
+    code, out, _ = run(capsys, "mean", spec, a, b)
+    assert code == 0
+    got = np.array(json.loads(out)["entries"])
+    np.testing.assert_allclose(got[:, :, 0], rows_a, rtol=1e-12)
+    np.testing.assert_allclose(got[:, :, 1], 0.0, atol=1e-15)
 
 
 def test_mean_rejects_non_pd(tmp_path, capsys):

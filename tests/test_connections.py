@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from loewnerlab.connections import (
-    ConnectionSpec,
     arithmetic_spec,
     connection_from_function,
     evaluate_connection,
@@ -14,12 +13,13 @@ from loewnerlab.connections import (
     invert_pd,
     matrix_sqrt,
     parallel_sum,
-    representing_function,
-    synthesized_representing_function,
 )
 from loewnerlab.errors import NumericalFailure, UsageError
 from loewnerlab.functions import get_function
 from loewnerlab.hermitian import HermitianMatrix, Interval, random_hermitian
+from loewnerlab.measures import RadonMeasure01, synthesize
+
+half_line = RadonMeasure01.from_half_line
 
 
 def _herm(arr):
@@ -35,15 +35,20 @@ def _pd_pair(seed, n=3):
 
 def test_spec_validation():
     with pytest.raises(UsageError):
-        ConnectionSpec()
+        half_line()
     with pytest.raises(UsageError):
-        ConnectionSpec(alpha=-0.5)
+        half_line(mass0=-0.5)
     with pytest.raises(UsageError):
-        ConnectionSpec(interior=((-1.0, 1.0),))
+        half_line(interior=((-1.0, 1.0),))
     with pytest.raises(UsageError):
-        ConnectionSpec(interior=((1.0, 0.0),))
-    spec = ConnectionSpec(alpha=0.25, interior=((2.0, 0.75),))
-    assert spec.as_measure().total_mass() == 1.0
+        half_line(interior=((1.0, 0.0),))
+    with pytest.raises(UsageError, match="duplicate"):
+        half_line(interior=((1.0, 0.5), (1.0, 0.5)))
+    spec = half_line(mass0=0.25, interior=((2.0, 0.75),))
+    assert spec.total_mass() == 1.0
+    assert (spec.alpha, spec.beta) == (0.25, 0.0)
+    (s, w), = spec.interior
+    assert s == pytest.approx(2.0, rel=1e-15) and w == 0.75
 
 
 def test_invert_pd():
@@ -131,6 +136,17 @@ def test_geometric_quadrature_converges_fast():
     assert e8 < e4 / 1000.0
 
 
+def test_geometric_nodes_are_tan_squared_in_s():
+    # lam = sin^2(theta) is the node s = tan^2(theta) of the half-line rule
+    n = 16
+    theta = (np.arange(n) + 0.5) * (np.pi / 2.0) / n
+    spec = geometric_spec(n)
+    s = np.array([sk for sk, _ in spec.interior])
+    np.testing.assert_allclose(s, np.tan(theta) ** 2, rtol=1e-12)
+    assert spec.alpha == spec.beta == 0.0
+    assert spec.total_mass() == pytest.approx(1.0, rel=1e-15)
+
+
 def test_connection_monotone_in_each_argument():
     from loewnerlab.hermitian import random_ordered_pair
 
@@ -144,7 +160,7 @@ def test_connection_monotone_in_each_argument():
 
 
 def test_transformer_equality_for_invertible_congruence():
-    spec = ConnectionSpec(alpha=0.2, beta=0.1, interior=((0.5, 0.3), (2.0, 0.4)))
+    spec = half_line(0.2, 0.1, ((0.5, 0.3), (2.0, 0.4)))
     a, b = _pd_pair(31)
     rng = np.random.default_rng(32)
     c = random_hermitian(3, Interval(0.5, 2.0), rng)
@@ -156,9 +172,9 @@ def test_transformer_equality_for_invertible_congruence():
 
 
 def test_representing_functions():
-    f = representing_function(arithmetic_spec())
+    f = synthesize(arithmetic_spec())
     np.testing.assert_allclose(f(3.0), 2.0, rtol=1e-15)
-    g = representing_function(harmonic_spec())
+    g = synthesize(harmonic_spec())
     # 2x/(1+x)
     np.testing.assert_allclose(g(3.0), 1.5, rtol=1e-15)
     np.testing.assert_allclose(g.deriv(3.0), 2.0 / 16.0, rtol=1e-14)
@@ -167,30 +183,31 @@ def test_representing_functions():
 
 
 def test_geometric_representing_function_approximates_sqrt():
-    f = representing_function(geometric_spec(400))
+    f = synthesize(geometric_spec(400))
     for x in np.geomspace(0.1, 10.0, 20):
         np.testing.assert_allclose(f(x), np.sqrt(x), rtol=1e-5)
 
 
 def test_synthesized_route_matches_direct_route():
-    spec = ConnectionSpec(alpha=0.1, beta=0.2, interior=((1.0, 0.4), (5.0, 0.3)))
-    direct = representing_function(spec)
-    via01 = synthesized_representing_function(spec)
+    spec = half_line(0.1, 0.2, ((1.0, 0.4), (5.0, 0.3)))
+    via01 = synthesize(spec)
     for x in np.geomspace(1e-2, 1e2, 40):
-        assert abs(direct(x) - via01(x)) <= 1e-12 * max(1.0, abs(direct(x)))
+        # alpha + beta x + sum w x(1+s)/(x+s), straight from the half-line data
+        direct = 0.1 + 0.2 * x + 0.4 * x * 2.0 / (x + 1.0) + 0.3 * x * 6.0 / (x + 5.0)
+        assert abs(direct - via01(x)) <= 1e-12 * max(1.0, abs(direct))
 
 
 def test_connection_from_function_roundtrip():
-    spec, residual = connection_from_function(get_function("sqrt"))
+    mu, residual = connection_from_function(get_function("sqrt"))
     assert residual < 1e-6
-    f = representing_function(spec)
+    f = synthesize(mu)
     for x in (0.5, 2.0, 20.0):
         np.testing.assert_allclose(f(x), np.sqrt(x), rtol=1e-4)
 
 
 def test_scalar_case_reduces_to_function_value():
-    spec = ConnectionSpec(alpha=0.3, interior=((1.0, 0.7),))
-    f = representing_function(spec)
+    spec = half_line(mass0=0.3, interior=((1.0, 0.7),))
+    f = synthesize(spec)
     a = _herm([[2.0]])
     one = _herm([[1.0]])
     got = evaluate_connection(spec, one, a)

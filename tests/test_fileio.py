@@ -19,7 +19,7 @@ from loewnerlab.fileio import (
     parse_point_arg,
 )
 from loewnerlab.hermitian import HermitianMatrix
-from loewnerlab.measures import MeasureInf, RadonMeasure01
+from loewnerlab.measures import RadonMeasure01
 
 
 @pytest.fixture
@@ -95,31 +95,39 @@ def test_missing_file():
 
 
 def test_measure_roundtrip_01(tmp_path):
-    mu = RadonMeasure01(atoms=((0.0, 0.5), (1.0, 0.25)), quad=((0.5, 0.25),))
+    mu = RadonMeasure01(atoms=((0.0, 0.5), (1.0, 0.25), (0.5, 0.25)))
     p = str(tmp_path / "mu.json")
     dump_json(measure_to_obj(mu), p)
     back = load_measure(p)
     assert isinstance(back, RadonMeasure01)
     assert back.atoms == mu.atoms
-    assert back.quad == mu.quad
+    # quad nodes are read as atoms, after the listed atoms
+    q = tmp_path / "q.json"
+    q.write_text('{"atoms": [{"lambda": 0.0, "w": 0.5}, {"lambda": 1.0, "w": 0.25}],'
+                 ' "quad": [{"lambda": 0.5, "w": 0.25}]}')
+    assert load_measure(str(q)).atoms == mu.atoms
 
 
 def test_measure_roundtrip_inf(tmp_path):
-    m = MeasureInf(mass0=0.3, massInf=0.2, interior=((1.5, 0.5),))
-    p = str(tmp_path / "m.json")
-    dump_json(measure_to_obj(m), p)
-    back = load_measure(p)
-    assert isinstance(back, MeasureInf)
-    assert back.mass0 == 0.3 and back.massInf == 0.2
-    assert back.interior == ((1.5, 0.5),)
+    p = tmp_path / "m.json"
+    p.write_text('{"mass0": 0.3, "massInf": 0.2, "interior": [{"s": 1.5, "w": 0.5}]}')
+    back = load_measure(str(p))
+    assert isinstance(back, RadonMeasure01)
+    assert back.atoms == ((0.0, 0.3), (0.6, 0.5), (1.0, 0.2))
+    assert back.alpha == 0.3 and back.beta == 0.2
+    (s, w), = back.interior
+    assert s == pytest.approx(1.5, rel=1e-15) and w == 0.5
 
 
 def test_measure_json_wire_format(tmp_path):
-    obj = measure_to_obj(MeasureInf(mass0=0.5, interior=((2.0, 0.5),)))
-    assert obj == {"mass0": 0.5, "massInf": 0.0,
-                   "interior": [{"s": 2.0, "w": 0.5}]}
     obj01 = measure_to_obj(RadonMeasure01(atoms=((0.25, 1.0),)))
     assert obj01 == {"atoms": [{"lambda": 0.25, "w": 1.0}], "quad": []}
+    # a half-line file is written back in the lambda schema
+    p = tmp_path / "m.json"
+    p.write_text('{"mass0": 0.5, "interior": [{"s": 1.0, "w": 0.5}]}')
+    obj = measure_to_obj(load_measure(str(p)))
+    assert obj == {"atoms": [{"lambda": 0.0, "w": 0.5}, {"lambda": 0.5, "w": 0.5}],
+                   "quad": []}
 
 
 def test_measure_rejects_unknown_shape(tmp_path):
@@ -129,6 +137,15 @@ def test_measure_rejects_unknown_shape(tmp_path):
         load_measure(str(p))
     p.write_text('{"atoms": [{"lambda": 2.0, "w": 1.0}]}')
     with pytest.raises(UsageError):  # lambda outside [0, 1]
+        load_measure(str(p))
+    p.write_text('{"quad": [{"lambda": 0.0, "w": 1.0}]}')
+    with pytest.raises(UsageError, match="interior"):  # quad nodes must be interior
+        load_measure(str(p))
+    p.write_text('{"atoms": [{"lambda": 0.5, "w": 1.0}], "quad": [{"lambda": 0.5, "w": 1.0}]}')
+    with pytest.raises(UsageError, match="duplicate"):  # an atom and a node at one lam
+        load_measure(str(p))
+    p.write_text('{"massInf": 0.5, "interior": [{"s": 1e17, "w": 0.5}]}')
+    with pytest.raises(UsageError, match="duplicate"):  # s = 1e17 rounds to lam = 1
         load_measure(str(p))
 
 

@@ -6,18 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from loewnerlab.errors import UsageError
 from loewnerlab.measures import (
-    MeasureInf,
     RadonMeasure01,
-    convert_measure,
     default_lambda_grid,
     endpoint_masses,
     fit_measure,
     kernel01,
     kernel_inf,
     lambda_from_s,
-    s_from_lambda,
     synthesize,
 )
+
+half_line = RadonMeasure01.from_half_line
 
 
 def test_measure_validation():
@@ -30,19 +29,23 @@ def test_measure_validation():
     with pytest.raises(UsageError):
         RadonMeasure01(atoms=((0.5, 1.0), (0.5, 2.0)))  # duplicate position
     with pytest.raises(UsageError):
-        RadonMeasure01(quad=((0.0, 1.0),))  # quad nodes must be interior
+        half_line()  # no mass at all
     with pytest.raises(UsageError):
-        MeasureInf()  # no mass at all
-    with pytest.raises(UsageError):
-        MeasureInf(mass0=-0.1)
-    with pytest.raises(UsageError):
-        MeasureInf(interior=((0.0, 1.0),))
+        half_line(mass0=-0.1)
+    for s in (0.0, -1.0, -0.5, math.inf, math.nan):
+        with pytest.raises(UsageError):
+            half_line(interior=((s, 1.0),))
+    with pytest.raises(UsageError, match="duplicate"):
+        half_line(interior=((2.0, 0.5), (2.0, 0.25)))
+    # s = 1e17 rounds to lam = 1, where massInf already sits
+    with pytest.raises(UsageError, match="duplicate"):
+        half_line(mass_inf=0.5, interior=((1e17, 0.5),))
 
 
 def test_total_mass():
-    mu = RadonMeasure01(atoms=((0.0, 0.25), (1.0, 0.5)), quad=((0.5, 0.25),))
+    mu = RadonMeasure01(atoms=((0.0, 0.25), (1.0, 0.5), (0.5, 0.25)))
     assert mu.total_mass() == 1.0
-    m = MeasureInf(mass0=0.1, massInf=0.2, interior=((1.0, 0.7),))
+    m = half_line(0.1, 0.2, ((1.0, 0.7),))
     np.testing.assert_allclose(m.total_mass(), 1.0, rtol=1e-15)
 
 
@@ -78,16 +81,20 @@ def test_kernel_change_of_variables(s, x):
 
 
 def test_substitution_roundtrip():
-    for s in (0.0, 0.5, 1.0, 123.0):
-        np.testing.assert_allclose(s_from_lambda(lambda_from_s(s)), s, rtol=1e-12)
+    for s in (1e-300, 0.5, 1.0, 123.0, 1e3):
+        (back, w), = half_line(interior=((s, 1.0),)).interior
+        np.testing.assert_allclose(back, s, rtol=1e-12)
+        assert w == 1.0
+    assert lambda_from_s(0.0) == 0.0
     assert lambda_from_s(math.inf) == 1.0
-    assert s_from_lambda(1.0) == math.inf
+    # the endpoints are not interior: they are the alpha and beta views
+    mu = half_line(0.5, 0.25)
+    assert mu.atoms == ((0.0, 0.5), (1.0, 0.25))
+    assert (mu.alpha, mu.beta, mu.interior) == (0.5, 0.25, ())
 
 
 def test_synthesize_value_at_one_is_total_mass_bitwise():
-    mu = RadonMeasure01(
-        atoms=((0.0, 0.125), (0.3, 0.4), (1.0, 0.17)), quad=((0.6, 0.05),)
-    )
+    mu = RadonMeasure01(atoms=((0.0, 0.125), (0.3, 0.4), (1.0, 0.17), (0.6, 0.05)))
     f = synthesize(mu)
     assert f(1.0) == mu.total_mass()
 
@@ -103,28 +110,42 @@ def test_synthesize_values_and_derivative():
     np.testing.assert_allclose(f.deriv2(2.0), fd2, atol=1e-6)
 
 
-def test_convert_measure_preserves_positions_and_weights():
-    m = MeasureInf(mass0=0.2, massInf=0.3, interior=((1.0, 0.4), (3.0, 0.1)))
-    mu = convert_measure(m)
+@pytest.mark.parametrize("t", [-2.0, 0.0, math.nan])
+def test_synthesize_rejects_points_off_the_half_line(t):
+    f = synthesize(RadonMeasure01(atoms=((0.0, 0.5), (0.5, 1.0))))
+    with pytest.raises(UsageError, match="t > 0"):
+        f(t)
+
+
+def test_synthesize_derivatives_are_the_catalog_kernels():
+    from loewnerlab.functions import get_function
+
+    f = synthesize(RadonMeasure01(atoms=((0.25, 1.0),)))
+    k = get_function("kernel:0.25")
+    for t in np.geomspace(1e-3, 1e3, 25):
+        assert (f(t), f.deriv(t), f.deriv2(t)) == (k(t), k.deriv(t), k.deriv2(t))
+
+
+def test_from_half_line_preserves_positions_and_weights():
+    mu = half_line(0.2, 0.3, ((1.0, 0.4), (3.0, 0.1)))
     got = dict(mu.atoms)
     assert got[0.0] == 0.2
     assert got[1.0] == 0.3
     assert got[0.5] == 0.4  # s = 1 -> lam = 1/2
     assert got[0.75] == 0.1  # s = 3 -> lam = 3/4
-    assert mu.total_mass() == pytest.approx(m.total_mass(), rel=1e-15)
+    assert mu.total_mass() == pytest.approx(1.0, rel=1e-15)
+    assert (mu.alpha, mu.beta, mu.interior) == (0.2, 0.3, ((1.0, 0.4), (3.0, 0.1)))
 
 
 def test_converted_synthesis_agrees_with_inf_kernels():
-    m = MeasureInf(mass0=0.25, massInf=0.25, interior=((2.0, 0.5),))
-    f = synthesize(convert_measure(m))
+    f = synthesize(half_line(0.25, 0.25, ((2.0, 0.5),)))
     for x in np.geomspace(0.01, 100.0, 30):
         direct = (0.25 * 1.0 + 0.25 * x + 0.5 * kernel_inf(2.0, x))
         np.testing.assert_allclose(f(x), direct, rtol=1e-13)
 
 
 def test_endpoint_masses_reads_back_the_atoms():
-    m = MeasureInf(mass0=0.3, massInf=0.2, interior=((1.0, 0.5),))
-    f = synthesize(convert_measure(m))
+    f = synthesize(half_line(0.3, 0.2, ((1.0, 0.5),)))
     m0, mi = endpoint_masses(f)
     np.testing.assert_allclose(m0, 0.3, atol=1e-4)
     np.testing.assert_allclose(mi, 0.2, atol=1e-4)
@@ -216,3 +237,10 @@ def test_fit_input_validation():
         fit_measure([(1.0, -1.0)], grid)
     with pytest.raises(UsageError):
         fit_measure([(1.0, 1.0)], np.array([0.5, 0.5]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError):
+            fit_measure([(1.0, 1.0)], np.array([0.0, bad, 1.0]))
+        with pytest.raises(UsageError):
+            fit_measure([(bad, 1.0)], grid)
+        with pytest.raises(UsageError):
+            fit_measure([(1.0, bad)], grid)
