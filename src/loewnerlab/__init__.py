@@ -4,9 +4,12 @@ Numerical machinery for the finite-dimensional theory of operator
 monotonicity: divided-difference (Loewner) matrices and their PSD
 certificates, the matrix-function chain rule, kernel-measure
 representations with a nonnegative-least-squares inverse fitter,
-Kubo-Ando connections built from parallel sums, mollifier
-regularization, and grid-level concave envelopes with Caratheodory
-support reduction.  The `loewnerlab` CLI drives the same code paths.
+Kubo-Ando connections built from parallel sums, mollification, and
+grid-level concave envelopes with Caratheodory support reduction.  The
+`loewnerlab` CLI drives the same code paths.  Only names with a caller
+outside the tests are exported, together with the types they return and
+the monotonicity-preserving transforms of the proof; helpers used inside
+one module stay private to it.
 """
 
 from ._version import __version__
@@ -14,7 +17,6 @@ from .calculus import (
     MatrixPath,
     affine_path,
     apply_function,
-    frechet_derivative,
     path_derivative,
     path_second_derivative,
 )
@@ -24,16 +26,13 @@ from .choquet import (
     caratheodory_decompose,
     concave_envelope,
     is_concave_grid,
-    kernel_barycenter_demo,
 )
 from .connections import (
     arithmetic_spec,
-    connection_from_function,
     evaluate_connection,
     geometric_mean_closed_form,
     geometric_spec,
     harmonic_spec,
-    parallel_sum,
 )
 from .divdiff import (
     LoewnerMatrix,
@@ -47,14 +46,12 @@ from .divdiff import (
 from .errors import InfeasiblePointError, NumericalFailure, UsageError
 from .functions import (
     Mollifier,
-    RegularizedSequence,
     ScalarFunction,
     catalog,
     catalog_names,
     get_function,
     mollify,
     mollify_derivative,
-    regularize_sequence,
     standard_mollifier,
 )
 from .hermitian import (
@@ -63,11 +60,8 @@ from .hermitian import (
     POSITIVE_AXIS,
     eigendecompose,
     identity,
-    is_psd,
-    loewner_leq,
     random_hermitian,
     random_ordered_pair,
-    spectrum_in,
 )
 from .measures import (
     RadonMeasure01,
@@ -108,7 +102,6 @@ __all__ = [
     "NumericalFailure",
     "POSITIVE_AXIS",
     "RadonMeasure01",
-    "RegularizedSequence",
     "Report",
     "RunConfig",
     "ScalarFunction",
@@ -125,7 +118,6 @@ __all__ = [
     "check_monotone_direct",
     "check_monotone_order_n",
     "concave_envelope",
-    "connection_from_function",
     "dd1",
     "dd2",
     "default_lambda_grid",
@@ -135,30 +127,23 @@ __all__ = [
     "evaluate_connection",
     "extreme_decomposition",
     "fit_measure",
-    "frechet_derivative",
     "geometric_mean_closed_form",
     "geometric_spec",
     "get_function",
     "harmonic_spec",
     "identity",
     "is_concave_grid",
-    "is_psd",
     "kernel01",
-    "kernel_barycenter_demo",
     "kernel_inf",
-    "loewner_leq",
     "loewner_matrix",
     "mollify",
     "mollify_derivative",
-    "parallel_sum",
     "path_derivative",
     "path_second_derivative",
     "random_hermitian",
     "random_ordered_pair",
-    "regularize_sequence",
     "run_acceptance",
     "second_dd_matrix",
-    "spectrum_in",
     "standard_mollifier",
     "synthesize",
     "transform_involution",

@@ -43,6 +43,7 @@ from .hermitian import (
     PSD_TOL,
     hermitian_part,
     identity,
+    min_eig_scaled,
     random_hermitian,
     random_ordered_pair,
 )
@@ -357,11 +358,6 @@ def _plus_eps(a: HermitianMatrix, eps: float) -> HermitianMatrix:
     return HermitianMatrix(a.entries + eps * identity(a.dim).entries)
 
 
-def _min_eig_scaled(m: np.ndarray) -> float:
-    lam = np.linalg.eigvalsh(m)
-    return float(lam[0]) / max(1.0, float(np.abs(lam).max()))
-
-
 def _half_line_representing(mu: RadonMeasure01, x: float) -> float:
     """alpha + beta x + sum w x(1+s)/(x+s): the representing function in the
     half-line coordinate, an independent reference for synthesize(mu)."""
@@ -392,7 +388,7 @@ def crit_kubo_ando(cfg: RunConfig):
             b, b2 = random_ordered_pair(n, IV_PAIRS, rng)
             lo = evaluate_connection(spec, a, b)
             hi = evaluate_connection(spec, a2, b2)
-            worst_mono = min(worst_mono, _min_eig_scaled(hi.entries - lo.entries))
+            worst_mono = min(worst_mono, min_eig_scaled(hi.entries - lo.entries))
 
             c = random_hermitian(n, Interval(0.3, 2.0), rng)
             inner = evaluate_connection(spec, a, b)
@@ -410,10 +406,10 @@ def crit_kubo_ando(cfg: RunConfig):
             for k in (1, 2, 4, 8, 16):
                 eps = 1.0 / k
                 cur = evaluate_connection(spec, _plus_eps(a, eps), _plus_eps(b, eps))
-                worst_chain = min(worst_chain, _min_eig_scaled(cur.entries - base.entries))
+                worst_chain = min(worst_chain, min_eig_scaled(cur.entries - base.entries))
                 if prev is not None:
                     worst_chain = min(
-                        worst_chain, _min_eig_scaled(prev.entries - cur.entries)
+                        worst_chain, min_eig_scaled(prev.entries - cur.entries)
                     )
                 prev, last_eps = cur, eps
             delta = min(

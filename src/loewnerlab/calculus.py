@@ -50,21 +50,6 @@ def affine_path(a: HermitianMatrix, h: HermitianMatrix) -> MatrixPath:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ChainRuleContext:
-    """Shared data for chain-rule evaluations at a fixed path time.
-
-    decomposition diagonalizes gamma(t); rotated_velocity is U* gamma'(t) U,
-    whose k-th column drives the k-th rank-one term of the second derivative.
-    """
-
-    decomposition: EigenDecomposition
-    rotated_velocity: np.ndarray
-
-    def column(self, k: int) -> np.ndarray:
-        return self.rotated_velocity[:, k]
-
-
 def _check_spectrum(f: ScalarFunction, dec: EigenDecomposition):
     lam = dec.eigenvalues
     if not (f.domain.lo < lam[0] and lam[-1] < f.domain.hi):
@@ -83,22 +68,14 @@ def apply_function(f: ScalarFunction, a: HermitianMatrix) -> HermitianMatrix:
     return HermitianMatrix(hermitian_part(u @ np.diag(vals) @ u.conj().T))
 
 
-def chain_rule_context(path: MatrixPath, t: float) -> ChainRuleContext:
-    g = path.value(t)
-    dec = eigendecompose(g)
-    u = dec.unitary
-    m = u.conj().T @ path.deriv(t).entries @ u
-    return ChainRuleContext(decomposition=dec, rotated_velocity=hermitian_part(m))
-
-
 def path_derivative(f: ScalarFunction, path: MatrixPath, t: float) -> HermitianMatrix:
     """d/dt f(gamma(t)) = U ( [dd1(f, l_i, l_j)] o (U* gamma' U) ) U*."""
-    ctx = chain_rule_context(path, t)
-    dec = ctx.decomposition
+    dec = eigendecompose(path.value(t))
     _check_spectrum(f, dec)
-    d1, _ = _dd_tables(f, dec.eigenvalues, second=False)
     u = dec.unitary
-    out = u @ (d1 * ctx.rotated_velocity) @ u.conj().T
+    vel = hermitian_part(u.conj().T @ path.deriv(t).entries @ u)
+    d1, _ = _dd_tables(f, dec.eigenvalues, second=False)
+    out = u @ (d1 * vel) @ u.conj().T
     return HermitianMatrix(hermitian_part(out))
 
 
@@ -112,24 +89,18 @@ def path_second_derivative(
         2 * sum_k [dd2(f, l_i, l_j, l_k)] o (c_k c_k*)
           + [dd1(f, l_i, l_j)] o (U* gamma'' U)
     """
-    ctx = chain_rule_context(path, t)
-    dec = ctx.decomposition
+    dec = eigendecompose(path.value(t))
     _check_spectrum(f, dec)
     lam = dec.eigenvalues
     u = dec.unitary
+    vel = hermitian_part(u.conj().T @ path.deriv(t).entries @ u)
     n = len(lam)
     d1, d2 = _dd_tables(f, lam)
     s = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
-        ck = ctx.column(k)
+        ck = vel[:, k]
         s += 2.0 * d2[k] * np.outer(ck, ck.conj())
     s += d1 * (u.conj().T @ path.deriv2(t).entries @ u)
     out = u @ s @ u.conj().T
     return HermitianMatrix(hermitian_part(out))
 
-
-def frechet_derivative(
-    f: ScalarFunction, a: HermitianMatrix, h: HermitianMatrix
-) -> HermitianMatrix:
-    """Directional derivative of f at A in direction H."""
-    return path_derivative(f, affine_path(a, h), 0.0)

@@ -8,9 +8,9 @@ Two finite-dimensional shadows of barycenter machinery:
    d + 1 vertices carry weight, by walking along null vectors of the lifted
    vertex matrix until weights hit zero.
 
-The demo at the bottom ties these to the kernel representation: fitting a
-normalized function with the mass pinned to one exhibits it as a barycenter
-of the extreme kernels.
+The kernel side of the barycenter picture, a normalized function fitted as
+a mixture of extreme kernels with its mass pinned to one, is
+measures.fit_measure with mass_constraint=1.0.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasiblePointError, NumericalFailure, UsageError
-from .functions import ScalarFunction
-from .measures import RadonMeasure01, default_lambda_grid, fit_measure
 
 FEAS_TOL = 1e-9
 
@@ -54,18 +52,13 @@ class GridFunction:
         return self.xs.size
 
 
-def sample_function(f: ScalarFunction, xs) -> GridFunction:
-    xs = np.asarray(xs, dtype=float)
-    return GridFunction(xs, np.array([f(float(x)) for x in xs]))
-
-
-def slopes(gf: GridFunction) -> np.ndarray:
+def _slopes(gf: GridFunction) -> np.ndarray:
     return np.diff(gf.ys) / np.diff(gf.xs)
 
 
 def is_concave_grid(gf: GridFunction, tol: float = 1e-12) -> bool:
     """Concavity = non-increasing chord slopes; robust on nonuniform grids."""
-    s = slopes(gf)
+    s = _slopes(gf)
     if s.size < 2:
         return True
     scale = max(1.0, float(np.abs(s).max()))
@@ -215,19 +208,3 @@ def caratheodory_decompose(
         indices=support, weights=weights, point=recon, residual=residual
     )
 
-
-def kernel_barycenter_demo(
-    f: ScalarFunction, grid=None, samples=None
-) -> tuple[RadonMeasure01, float]:
-    """Fit f as a barycenter of extreme kernels: mass pinned to one.
-
-    For a normalized function of the representable class this succeeds with a
-    tiny residual -- the finite-dimensional face of the general barycenter
-    statement.
-    """
-    if grid is None:
-        grid = default_lambda_grid(200)
-    if samples is None:
-        samples = np.geomspace(1e-3, 1e3, 60)
-    pairs = [(float(t), f(float(t))) for t in samples]
-    return fit_measure(pairs, grid, mass_constraint=1.0)

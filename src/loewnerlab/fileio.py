@@ -137,8 +137,13 @@ def dump_json(obj, path: str | None) -> str:
 
 
 def _pairs(data, key: str, a_key: str, path: str):
+    items = data.get(key, [])
+    if not isinstance(items, list):
+        raise UsageError(
+            f'{path}: "{key}" must be a list of objects with keys "{a_key}" and "w"'
+        )
     out = []
-    for k, item in enumerate(data.get(key, [])):
+    for k, item in enumerate(items):
         if not isinstance(item, dict) or a_key not in item or "w" not in item:
             raise UsageError(
                 f'{path}: {key}[{k}] must be an object with keys "{a_key}" and "w"'

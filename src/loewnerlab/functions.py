@@ -296,47 +296,3 @@ def mollify_derivative(f: ScalarFunction, eps: float, x: float,
     val = _adaptive_gl(lambda u: f(x - eps * u) * m.density_deriv(u))
     return val / eps
 
-
-class RegularizedSequence:
-    """Members f_(1/n) of the mollified sequence of f on a base interval.
-
-    member(n) is f smoothed at width 1/n, defined on the interval shrunk by
-    1/n on both sides.  Requires (hi - lo)/2 > 1/n_start so the first member
-    has a nonempty domain.
-    """
-
-    def __init__(self, f: ScalarFunction, interval: Interval, n_start: int):
-        if n_start < 1:
-            raise UsageError(f"n_start must be >= 1, got {n_start}")
-        if interval.bounded and not interval.width / 2.0 > 1.0 / n_start:
-            raise UsageError(
-                f"interval {interval} too narrow for starting width 1/{n_start}"
-            )
-        if not (interval.lo >= f.domain.lo and interval.hi <= f.domain.hi):
-            raise UsageError(f"{interval} is not inside the domain of {f.name}")
-        self.f = f
-        self.interval = interval
-        self.n_start = n_start
-
-    def member(self, n: int) -> ScalarFunction:
-        if n < self.n_start:
-            raise UsageError(f"member index {n} below start {self.n_start}")
-        f, eps = self.f, 1.0 / n
-        hi = self.interval.hi - eps if math.isfinite(self.interval.hi) else math.inf
-        dom = Interval(self.interval.lo + eps, hi)
-        return ScalarFunction(
-            name=f"mollified:{f.name}:{n}",
-            domain=dom,
-            fn=lambda x: mollify(f, eps, x),
-            d1=lambda x: mollify_derivative(f, eps, x),
-            d2=None,
-            claimed_class=f.claimed_class,
-        )
-
-    def __getitem__(self, n: int) -> ScalarFunction:
-        return self.member(n)
-
-
-def regularize_sequence(f: ScalarFunction, interval: Interval,
-                        n_start: int) -> RegularizedSequence:
-    return RegularizedSequence(f, interval, n_start)

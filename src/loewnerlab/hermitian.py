@@ -1,9 +1,10 @@
 """Hermitian matrices, the positive-semidefinite order, and spectra.
 
 Everything downstream runs on top of the primitives here: an exactly-Hermitian
-matrix container, spectral decomposition with verified residuals, the PSD
-partial order with a relative eigenvalue tolerance, and seeded generators for
-random ordered pairs A <= B with spectra confined to an interval.
+matrix container, spectral decomposition with verified residuals, the
+scale-relative smallest eigenvalue behind every PSD decision, and seeded
+generators for random ordered pairs A <= B with spectra confined to an
+interval.
 
 Complex entries are supported throughout; real symmetric arrays are accepted
 as a special case and stored as complex.
@@ -25,6 +26,16 @@ PSD_TOL = 1e-9
 TOL_RECON = 1e-10
 
 _MAX_SHRINK_STEPS = 60
+
+
+def min_eig_scaled(entries: np.ndarray) -> float:
+    """Smallest eigenvalue over max(1, ||M||), the quantity PSD_TOL bounds.
+
+    A relative floor, because an absolute threshold would misjudge matrices
+    living on very different scales.
+    """
+    lam = np.linalg.eigvalsh(entries)
+    return float(lam[0]) / max(1.0, float(np.abs(lam).max()))
 
 
 @dataclass(frozen=True)
@@ -170,33 +181,13 @@ def eigendecompose(a: HermitianMatrix) -> EigenDecomposition:
     return EigenDecomposition(unitary=u, eigenvalues=lam)
 
 
-def _min_eig_and_norm(a: HermitianMatrix) -> tuple[float, float]:
-    lam = np.linalg.eigvalsh(a.entries)
-    return float(lam[0]), float(np.abs(lam).max())
-
-
-def is_psd(a: HermitianMatrix, tol: float = PSD_TOL) -> bool:
-    """Positive semidefinite up to a relative eigenvalue floor.
-
-    Accepts min eigenvalue >= -tol * max(1, ||A||); an absolute threshold
-    would misjudge matrices living on very different scales.
-    """
-    min_eig, nrm = _min_eig_and_norm(a)
-    return min_eig >= -tol * max(1.0, nrm)
-
-
-def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = PSD_TOL) -> bool:
-    """The PSD partial order: a <= b iff b - a is PSD (within tol)."""
-    return is_psd(b - a, tol=tol)
-
-
-def spectrum_in(a: HermitianMatrix, iv: Interval) -> bool:
+def _spectrum_in(a: HermitianMatrix, iv: Interval) -> bool:
     """True iff every eigenvalue lies strictly inside iv."""
     lam = np.linalg.eigvalsh(a.entries)
     return bool(iv.lo < lam[0] and lam[-1] < iv.hi)
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary from a QR factorization with phase fix."""
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
@@ -226,7 +217,7 @@ def random_hermitian(
     rng = _resolve_rng(seed)
     pad = margin * iv.width
     lam = rng.uniform(iv.lo + pad, iv.hi - pad, n)
-    u = random_unitary(n, rng)
+    u = _random_unitary(n, rng)
     return HermitianMatrix(hermitian_part(u @ np.diag(lam) @ u.conj().T))
 
 
@@ -253,7 +244,7 @@ def random_ordered_pair(
     c = rng.uniform(0.2, 0.95) * max(headroom, 0.0)
     for _ in range(_MAX_SHRINK_STEPS):
         b = HermitianMatrix(a.entries + c * p)
-        if spectrum_in(b, iv):
+        if _spectrum_in(b, iv):
             return a, b
         c /= 2
     raise NumericalFailure(

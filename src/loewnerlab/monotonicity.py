@@ -42,6 +42,7 @@ from .hermitian import (
     PSD_TOL,
     HermitianMatrix,
     Interval,
+    min_eig_scaled,
     random_hermitian,
     random_ordered_pair,
 )
@@ -127,13 +128,6 @@ def _check_iv_in_domain(f: ScalarFunction, iv: Interval):
         raise UsageError(f"{iv} is not inside the domain of {f.name}")
 
 
-def _psd_min_eig(entries: np.ndarray) -> tuple[float, bool, float]:
-    lam = np.linalg.eigvalsh(entries)
-    nrm = float(np.abs(lam).max())
-    scaled = float(lam[0]) / max(1.0, nrm)
-    return scaled, scaled >= -PSD_TOL, nrm
-
-
 def check_monotone_order_n(
     f: ScalarFunction,
     n: int,
@@ -148,9 +142,9 @@ def check_monotone_order_n(
     min_seen, witness = np.inf, None
     for t in range(trials):
         ns = draw(_trial_rng(seed, _TAG_MONOTONE, t), n, iv)
-        scaled, ok, _ = _psd_min_eig(loewner_matrix(f, ns).entries)
+        scaled = min_eig_scaled(loewner_matrix(f, ns).entries)
         min_seen = min(min_seen, scaled)
-        if not ok and witness is None:
+        if not scaled >= -PSD_TOL and witness is None:
             witness = ns
     return Verdict(
         property="monotone_order_n",
@@ -177,9 +171,9 @@ def check_convex_order_n(
     for t in range(trials):
         ns = draw(_trial_rng(seed, _TAG_CONVEX, t), n, iv)
         m = second_dd_matrix(f, ns, anchor=ns.nodes[0])
-        scaled, ok, _ = _psd_min_eig(m.entries)
+        scaled = min_eig_scaled(m.entries)
         min_seen = min(min_seen, scaled)
-        if not ok and witness is None:
+        if not scaled >= -PSD_TOL and witness is None:
             witness = ns
     return Verdict(
         property="convex_order_n",
@@ -200,9 +194,9 @@ def check_monotone_direct(
     for t in range(trials):
         a, b = random_ordered_pair(n, iv, _trial_rng(seed, _TAG_DIRECT, t))
         diff = apply_function(f, b) - apply_function(f, a)
-        scaled, ok, _ = _psd_min_eig(diff.entries)
+        scaled = min_eig_scaled(diff.entries)
         min_seen = min(min_seen, scaled)
-        if not ok and witness is None:
+        if not scaled >= -PSD_TOL and witness is None:
             witness = (a, b)
     return Verdict(
         property="monotone_direct",
@@ -226,9 +220,9 @@ def check_midpoint_concavity(
         b = random_hermitian(n, iv, rng)
         mid = HermitianMatrix((a.entries + b.entries) / 2.0)
         gap = apply_function(f, mid) - (apply_function(f, a) + apply_function(f, b)).scaled(0.5)
-        scaled, ok, _ = _psd_min_eig(gap.entries)
+        scaled = min_eig_scaled(gap.entries)
         min_seen = min(min_seen, scaled)
-        if not ok and witness is None:
+        if not scaled >= -PSD_TOL and witness is None:
             witness = (a, b)
     return Verdict(
         property="midpoint_concavity",

@@ -4,15 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from loewnerlab.choquet import (
     GridFunction,
+    _slopes,
     caratheodory_decompose,
     concave_envelope,
     is_concave_grid,
-    kernel_barycenter_demo,
-    sample_function,
-    slopes,
 )
 from loewnerlab.errors import InfeasiblePointError, UsageError
 from loewnerlab.functions import get_function
+from loewnerlab.measures import RadonMeasure01, default_lambda_grid, fit_measure, synthesize
 
 
 def test_gridfunction_validation():
@@ -31,7 +30,7 @@ def test_gridfunction_validation():
 
 def test_slopes_and_concavity():
     gf = GridFunction(np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 4.0]))
-    np.testing.assert_allclose(slopes(gf), [2.0, 1.0])
+    np.testing.assert_allclose(_slopes(gf), [2.0, 1.0])
     assert is_concave_grid(gf)
     assert not is_concave_grid(GridFunction(np.array([0.0, 1.0, 2.0]),
                                             np.array([0.0, 0.0, 1.0])))
@@ -74,7 +73,8 @@ def test_envelope_properties(ys, seed):
 
 def test_envelope_fixes_concave_data():
     f = get_function("sqrt")
-    gf = sample_function(f, np.linspace(0.5, 4.0, 30))
+    xs = np.linspace(0.5, 4.0, 30)
+    gf = GridFunction(xs, np.array([f(x) for x in xs]))
     env = concave_envelope(gf)
     np.testing.assert_allclose(env.ys, gf.ys, atol=1e-13)
 
@@ -150,25 +150,29 @@ def test_caratheodory_input_validation():
         caratheodory_decompose(np.array([[np.nan, 0.0]]), np.array([0.0, 0.0]))
 
 
+def _kernel_barycenter(f):
+    """f fitted as a mixture of extreme kernels with its mass pinned to one."""
+    samples = [(float(t), f(float(t))) for t in np.geomspace(1e-3, 1e3, 60)]
+    return fit_measure(samples, default_lambda_grid(200), mass_constraint=1.0)
+
+
 def test_kernel_barycenter_demo_sqrt():
-    mu, residual = kernel_barycenter_demo(get_function("sqrt"))
+    mu, residual = _kernel_barycenter(get_function("sqrt"))
     assert residual < 1e-6
     assert mu.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_barycenter_demo_on_grid_atom_is_recovered_exactly():
-    from loewnerlab.measures import RadonMeasure01, default_lambda_grid, synthesize
-
     lam = float(default_lambda_grid(200)[100])
     f = synthesize(RadonMeasure01(atoms=((lam, 1.0),)))
-    mu, residual = kernel_barycenter_demo(f)
+    mu, residual = _kernel_barycenter(f)
     assert residual < 1e-10
     got = sum(w for l, w in mu.atoms if abs(l - lam) < 1e-12)
     assert got == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kernel_barycenter_demo_off_grid_atom_concentrates():
-    mu, residual = kernel_barycenter_demo(get_function("kernel:0.5"))
+    mu, residual = _kernel_barycenter(get_function("kernel:0.5"))
     # lam = 1/2 is not a grid atom, so the fit spreads over neighbors
     assert residual < 1e-3
     close = sum(w for lam, w in mu.atoms if abs(lam - 0.5) < 0.05)

@@ -248,6 +248,29 @@ def test_mean_condition_cap_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("command", ["synth", "mean"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"interior": 5}', "interior"),
+        ('{"atoms": {"lambda": 0.5, "w": 1}}', "atoms"),
+        ('{"quad": "x"}', "quad"),
+    ],
+    ids=["int", "dict", "str"],
+)
+def test_measure_file_lists_must_be_lists(tmp_path, capsys, command, text, key):
+    mu = write(tmp_path, "mu.json", text)
+    if command == "synth":
+        argv = ("synth", mu)
+    else:
+        a = _matrix_csv(tmp_path, "a.csv", [[2.0]])
+        argv = ("mean", mu, a, a)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f'"{key}" must be a list' in err
+
+
 # --- envelope / caratheodory ----------------------------------------------
 
 def test_envelope_csv(tmp_path, capsys):

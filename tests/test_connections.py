@@ -1,23 +1,28 @@
 """Operator means built from parallel sums, against closed forms."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from loewnerlab import connections
 from loewnerlab.connections import (
+    CONDITION_CAP,
     arithmetic_spec,
-    connection_from_function,
     evaluate_connection,
     geometric_mean_closed_form,
     geometric_spec,
     harmonic_spec,
-    invert_pd,
-    matrix_sqrt,
-    parallel_sum,
 )
 from loewnerlab.errors import NumericalFailure, UsageError
 from loewnerlab.functions import get_function
-from loewnerlab.hermitian import HermitianMatrix, Interval, random_hermitian
-from loewnerlab.measures import RadonMeasure01, synthesize
+from loewnerlab.hermitian import (
+    HermitianMatrix,
+    Interval,
+    _random_unitary,
+    hermitian_part,
+    random_hermitian,
+)
+from loewnerlab.measures import RadonMeasure01, default_lambda_grid, fit_measure, synthesize
 
 half_line = RadonMeasure01.from_half_line
 
@@ -51,27 +56,25 @@ def test_spec_validation():
     assert s == pytest.approx(2.0, rel=1e-15) and w == 0.75
 
 
-def test_invert_pd():
-    a = _herm([[2.0, 1.0], [1.0, 2.0]])
-    inv = invert_pd(a)
-    np.testing.assert_allclose((a.entries @ inv.entries).real, np.eye(2),
-                               atol=1e-12)
-    with pytest.raises(UsageError):
-        invert_pd(_herm(np.diag([1.0, -1.0])))
+def _twice_parallel_sum(a, b):
+    """2 (A^-1 + B^-1)^-1, the harmonic mean, straight from np.linalg.inv."""
+    inv = np.linalg.inv
+    return 2.0 * inv(inv(a.entries) + inv(b.entries))
 
 
 def test_parallel_sum_diagonal():
-    # diag: 1/(1/a + 1/b) entrywise -> (0.75, 1.5)
+    # diag: 2/(1/a + 1/b) entrywise -> (1.5, 3.0)
     a = _herm(np.diag([1.0, 2.0]))
     b = _herm(np.diag([3.0, 6.0]))
-    ps = parallel_sum(a, b)
-    np.testing.assert_allclose(ps.entries, np.diag([0.75, 1.5]), atol=1e-12)
+    m = evaluate_connection(harmonic_spec(), a, b)
+    np.testing.assert_allclose(m.entries, np.diag([1.5, 3.0]), atol=1e-12)
+    np.testing.assert_allclose(m.entries, _twice_parallel_sum(a, b), atol=1e-12)
 
 
 def test_parallel_sum_symmetric_in_arguments():
     a, b = _pd_pair(21)
-    lhs = parallel_sum(a, b).entries
-    rhs = parallel_sum(b, a).entries
+    lhs = evaluate_connection(harmonic_spec(), a, b).entries
+    rhs = evaluate_connection(harmonic_spec(), b, a).entries
     np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
 
@@ -85,14 +88,7 @@ def test_arithmetic_connection_is_the_mean():
 def test_harmonic_connection_is_twice_parallel_sum():
     a, b = _pd_pair(4)
     m = evaluate_connection(harmonic_spec(), a, b)
-    np.testing.assert_allclose(m.entries, 2.0 * parallel_sum(a, b).entries,
-                               atol=1e-11)
-
-
-def test_matrix_sqrt():
-    a = _herm([[5.0, 4.0], [4.0, 5.0]])
-    r = matrix_sqrt(a)
-    np.testing.assert_allclose(r.entries, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
+    np.testing.assert_allclose(m.entries, _twice_parallel_sum(a, b), atol=1e-11)
 
 
 def test_geometric_mean_closed_form_frozen():
@@ -107,7 +103,7 @@ def test_geometric_mean_properties():
     a, b = _pd_pair(9)
     g = geometric_mean_closed_form(a, b)
     # G A^-1 G = B characterizes the geometric mean
-    lhs = g.entries @ invert_pd(a).entries @ g.entries
+    lhs = g.entries @ np.linalg.inv(a.entries) @ g.entries
     np.testing.assert_allclose(lhs, b.entries, atol=1e-9)
     # symmetry
     np.testing.assert_allclose(
@@ -198,7 +194,9 @@ def test_synthesized_route_matches_direct_route():
 
 
 def test_connection_from_function_roundtrip():
-    mu, residual = connection_from_function(get_function("sqrt"))
+    f = get_function("sqrt")
+    samples = [(float(t), f(float(t))) for t in np.geomspace(1e-3, 1e3, 60)]
+    mu, residual = fit_measure(samples, default_lambda_grid(200))
     assert residual < 1e-6
     f = synthesize(mu)
     for x in (0.5, 2.0, 20.0):
@@ -218,6 +216,98 @@ def test_condition_cap_raises_numerical_failure():
     a = _herm(np.diag([1.0, 1e13]))
     b = _herm(np.diag([1.0, 1.0]))
     with pytest.raises(NumericalFailure):
-        parallel_sum(a, b)
-    with pytest.raises(NumericalFailure):
         evaluate_connection(harmonic_spec(), a, b)
+
+
+def _counting_eigendecompose(monkeypatch):
+    calls = []
+    orig = connections.eigendecompose
+
+    def counted(a):
+        calls.append(a.dim)
+        return orig(a)
+
+    monkeypatch.setattr(connections, "eigendecompose", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize(
+    "spec",
+    [arithmetic_spec(), harmonic_spec(), geometric_spec(50), geometric_spec(200)],
+    ids=["arithmetic", "harmonic", "geometric50", "geometric200"],
+)
+def test_evaluate_connection_decomposes_each_operand_once(monkeypatch, spec, n):
+    a, b = _pd_pair(40 + n, n)
+    calls = _counting_eigendecompose(monkeypatch)
+    evaluate_connection(spec, a, b)
+    assert calls == [n, n]
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_closed_form_makes_three_decompositions(monkeypatch, n):
+    a, b = _pd_pair(50 + n, n)
+    calls = _counting_eigendecompose(monkeypatch)
+    geometric_mean_closed_form(a, b)
+    assert calls == [n, n, n]
+
+
+def test_right_operand_guards():
+    a = _herm(np.diag([1.0, 2.0]))
+    not_pd = _herm(np.diag([1.0, -1.0]))
+    ill = _herm(np.diag([1.0, 10.0 * CONDITION_CAP]))
+    for spec in (arithmetic_spec(), harmonic_spec(), geometric_spec(8)):
+        with pytest.raises(UsageError, match="right operand"):
+            evaluate_connection(spec, a, not_pd)
+        with pytest.raises(NumericalFailure, match="right operand"):
+            evaluate_connection(spec, a, ill)
+    with pytest.raises(UsageError, match="right operand"):
+        geometric_mean_closed_form(a, not_pd)
+    with pytest.raises(NumericalFailure, match="right operand"):
+        geometric_mean_closed_form(a, ill)
+
+
+def _pair_in_bases(seed, a_spectrum, b_spectrum):
+    """U diag(a_spectrum) U* and V diag(b_spectrum) V* for seeded unitaries."""
+    rng = np.random.default_rng(seed)
+    u = _random_unitary(len(a_spectrum), rng)
+    v = _random_unitary(len(b_spectrum), rng)
+    a = HermitianMatrix(hermitian_part(u @ np.diag(a_spectrum) @ u.conj().T))
+    b = HermitianMatrix(hermitian_part(v @ np.diag(b_spectrum) @ v.conj().T))
+    return a, b
+
+
+def test_closed_form_numerical_loss_is_not_a_usage_error():
+    # both operands are positive definite and within CONDITION_CAP; only the
+    # rounding of A^-1/2 B A^-1/2 loses positivity
+    a, b = _pair_in_bases(0, np.geomspace(1.0, 1e11, 4), np.geomspace(1e11, 1.0, 4))
+    with pytest.raises(NumericalFailure, match=r"A\^-1/2 B A\^-1/2"):
+        geometric_mean_closed_form(a, b)
+    out = evaluate_connection(geometric_spec(50), a, b)
+    assert np.all(np.isfinite(out.entries))
+
+
+def _mp_connection(mu, a, b):
+    """sum w ((1-lam) A^-1 + lam B^-1)^-1 over interior atoms, in 50 digits."""
+    with mp.workdps(50):
+        am, bm = mp.matrix(a.entries.tolist()), mp.matrix(b.entries.tolist())
+        ainv, binv = mp.inverse(am), mp.inverse(bm)
+        acc = mp.matrix(a.dim, a.dim)
+        for lam, w in mu.atoms:
+            lam, w = mp.mpf(lam), mp.mpf(w)
+            acc += w * mp.inverse((1 - lam) * ainv + lam * binv)
+        return np.array(acc.tolist(), dtype=np.complex128)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parallel_sums_stay_accurate_near_the_cap(seed):
+    # cond(A) = cond(B) = 1e8 in different bases: the parallel-sum route keeps
+    # ~1e-10, where the congruence A^1/2 f(A^-1/2 B A^-1/2) A^1/2 loses ~1e-4
+    spectrum = np.geomspace(1.0, 1e8, 4)
+    a, b = _pair_in_bases(seed, spectrum, spectrum)
+    for mu in (harmonic_spec(), geometric_spec(50)):
+        ref = _mp_connection(mu, a, b)
+        got = evaluate_connection(mu, a, b).entries
+        assert np.linalg.norm(got - ref, 2) <= 1e-8 * np.linalg.norm(ref, 2)
+    with pytest.raises(NumericalFailure):
+        geometric_mean_closed_form(a, b)

@@ -14,7 +14,6 @@ from loewnerlab.functions import (
     get_function,
     mollify,
     mollify_derivative,
-    regularize_sequence,
     standard_mollifier,
 )
 from loewnerlab.hermitian import Interval
@@ -130,25 +129,6 @@ def test_mollify_derivative_matches_difference_of_mollified():
     eps, x, h = 0.05, 2.0, 1e-5
     fd = (mollify(f, eps, x + h) - mollify(f, eps, x - h)) / (2.0 * h)
     np.testing.assert_allclose(mollify_derivative(f, eps, x), fd, atol=1e-8)
-
-
-def test_regularized_sequence_domains_shrink():
-    seq = regularize_sequence(get_function("sqrt"), Interval(1.0, 3.0), 2)
-    m2 = seq.member(2)
-    assert m2.domain.lo == 1.5 and m2.domain.hi == 2.5
-    m10 = seq[10]
-    assert m10.domain.lo == 1.1 and m10.domain.hi == 2.9
-    # smoothed sqrt stays close to sqrt well inside the window
-    np.testing.assert_allclose(m10(2.0), math.sqrt(2.0), atol=1e-3)
-    with pytest.raises(UsageError):
-        seq.member(1)
-
-
-def test_regularized_sequence_width_guard():
-    with pytest.raises(UsageError):
-        regularize_sequence(get_function("sqrt"), Interval(1.0, 3.0), 1)
-    with pytest.raises(UsageError):
-        regularize_sequence(get_function("sqrt"), Interval(-1.0, 3.0), 4)
 
 
 def test_custom_mollifier_is_used():

@@ -9,15 +9,15 @@ from loewnerlab.hermitian import (
     HermitianMatrix,
     Interval,
     POSITIVE_AXIS,
+    PSD_TOL,
+    _random_unitary,
+    _spectrum_in,
     eigendecompose,
     hermitian_part,
     identity,
-    is_psd,
-    loewner_leq,
+    min_eig_scaled,
     random_hermitian,
     random_ordered_pair,
-    random_unitary,
-    spectrum_in,
 )
 
 
@@ -110,24 +110,26 @@ def test_eigendecompose_sorted_ascending():
 
 def test_is_psd_relative_tolerance_across_scales():
     # a tiny negative eigenvalue only counts relative to the norm
-    big = HermitianMatrix(np.diag([1e8, -1e-3]).astype(complex))
-    assert is_psd(big)  # -1e-3 / 1e8 = 1e-11 < 1e-9
-    small = HermitianMatrix(np.diag([1.0, -1e-3]).astype(complex))
-    assert not is_psd(small)
+    big = np.diag([1e8, -1e-3]).astype(complex)
+    assert min_eig_scaled(big) >= -PSD_TOL  # -1e-3 / 1e8 = 1e-11 < 1e-9
+    small = np.diag([1.0, -1e-3]).astype(complex)
+    assert min_eig_scaled(small) < -PSD_TOL
+    # below unit norm the floor is absolute: max(1, ||M||) = 1
+    assert min_eig_scaled(np.diag([1e-3, -2e-4]).astype(complex)) == -2e-4
 
 
 def test_loewner_leq_and_spectrum():
     a = HermitianMatrix(np.diag([1.0, 2.0]).astype(complex))
     b = HermitianMatrix(np.diag([1.5, 2.0]).astype(complex))
-    assert loewner_leq(a, b)
-    assert not loewner_leq(b, a) or np.array_equal(a.entries, b.entries)
-    assert spectrum_in(a, Interval(0.5, 2.5))
-    assert not spectrum_in(a, Interval(1.5, 2.5))
+    assert min_eig_scaled(b.entries - a.entries) >= -PSD_TOL
+    assert min_eig_scaled(a.entries - b.entries) < -PSD_TOL
+    assert _spectrum_in(a, Interval(0.5, 2.5))
+    assert not _spectrum_in(a, Interval(1.5, 2.5))
 
 
 def test_random_unitary_is_unitary_and_seeded():
-    u1 = random_unitary(5, np.random.default_rng(42))
-    u2 = random_unitary(5, np.random.default_rng(42))
+    u1 = _random_unitary(5, np.random.default_rng(42))
+    u2 = _random_unitary(5, np.random.default_rng(42))
     assert np.array_equal(u1, u2)
     np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(5), atol=1e-12)
 
@@ -136,7 +138,7 @@ def test_random_hermitian_spectrum_containment():
     iv = Interval(0.2, 7.0)
     for seed in range(20):
         m = random_hermitian(5, iv, seed)
-        assert spectrum_in(m, iv)
+        assert _spectrum_in(m, iv)
         assert np.array_equal(m.entries, m.entries.conj().T)
 
 
@@ -144,8 +146,8 @@ def test_random_ordered_pair_orders_and_contains():
     iv = Interval(0.1, 10.0)
     for seed in range(25):
         a, b = random_ordered_pair(4, iv, seed)
-        assert spectrum_in(a, iv)
-        assert spectrum_in(b, iv)
+        assert _spectrum_in(a, iv)
+        assert _spectrum_in(b, iv)
         diff = np.linalg.eigvalsh(b.entries - a.entries)
         assert diff[0] >= -1e-12
 
