@@ -9,7 +9,9 @@ anchored second divided differences, plus the first-order action on
 gamma''(t).  Coincident eigenvalues need no special casing -- the divided
 differences already degrade gracefully to derivative limits.  f and f' are
 evaluated once per eigenvalue, and the divided-difference matrices are formed
-from those values by broadcast (divdiff._dd_tables).
+from those values by broadcast (divdiff._loewner_stack and _dd_tables).
+apply_function has a stacked body that lifts f to a whole (trials, n, n)
+stack with one eigendecomposition; the randomized checks call it directly.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .divdiff import _dd_tables
+from .divdiff import _dd_tables, _loewner_stack
 from .errors import UsageError
 from .functions import ScalarFunction
 from .hermitian import (
-    EigenDecomposition,
     HermitianMatrix,
+    _adjoint,
+    _eigh_checked,
     hermitian_part,
     eigendecompose,
 )
@@ -50,31 +53,42 @@ def affine_path(a: HermitianMatrix, h: HermitianMatrix) -> MatrixPath:
     )
 
 
-def _check_spectrum(f: ScalarFunction, dec: EigenDecomposition):
-    lam = dec.eigenvalues
-    if not (f.domain.lo < lam[0] and lam[-1] < f.domain.hi):
+def _check_spectrum(f: ScalarFunction, lam: np.ndarray):
+    """Ascending spectra (one per slice) strictly inside the domain of f."""
+    inside = (f.domain.lo < lam[..., 0]) & (lam[..., -1] < f.domain.hi)
+    if not np.all(inside):
+        lam = lam[np.unravel_index(np.argmin(inside), inside.shape)]
         raise UsageError(
             f"spectrum [{lam[0]:.6g}, {lam[-1]:.6g}] not strictly inside the "
             f"domain ({f.domain.lo:g}, {f.domain.hi:g}) of {f.name}"
         )
 
 
+def _apply_function_stack(f: ScalarFunction, entries: np.ndarray) -> np.ndarray:
+    """f applied to a Hermitian matrix or to every matrix of a stack.
+
+    One checked eigh for the stack and one evaluation of f per eigenvalue.
+    The result is exactly Hermitian but not checked for finiteness; callers
+    decide what a non-finite value means.
+    """
+    lam, u = _eigh_checked(entries)
+    _check_spectrum(f, lam)
+    vals = np.array([f(x) for x in lam.ravel()]).reshape(lam.shape)
+    return hermitian_part((u * vals[..., None, :]) @ _adjoint(u))
+
+
 def apply_function(f: ScalarFunction, a: HermitianMatrix) -> HermitianMatrix:
     """f(A) by applying f to the eigenvalues."""
-    dec = eigendecompose(a)
-    _check_spectrum(f, dec)
-    u = dec.unitary
-    vals = np.array([f(x) for x in dec.eigenvalues])
-    return HermitianMatrix(hermitian_part(u @ np.diag(vals) @ u.conj().T))
+    return HermitianMatrix(_apply_function_stack(f, a.entries))
 
 
 def path_derivative(f: ScalarFunction, path: MatrixPath, t: float) -> HermitianMatrix:
     """d/dt f(gamma(t)) = U ( [dd1(f, l_i, l_j)] o (U* gamma' U) ) U*."""
     dec = eigendecompose(path.value(t))
-    _check_spectrum(f, dec)
+    _check_spectrum(f, dec.eigenvalues)
     u = dec.unitary
     vel = hermitian_part(u.conj().T @ path.deriv(t).entries @ u)
-    d1, _ = _dd_tables(f, dec.eigenvalues, second=False)
+    d1 = _loewner_stack(f, dec.eigenvalues)
     out = u @ (d1 * vel) @ u.conj().T
     return HermitianMatrix(hermitian_part(out))
 
@@ -90,7 +104,7 @@ def path_second_derivative(
           + [dd1(f, l_i, l_j)] o (U* gamma'' U)
     """
     dec = eigendecompose(path.value(t))
-    _check_spectrum(f, dec)
+    _check_spectrum(f, dec.eigenvalues)
     lam = dec.eigenvalues
     u = dec.unitary
     vel = hermitian_part(u.conj().T @ path.deriv(t).entries @ u)

@@ -11,13 +11,15 @@ Coincidence handling uses a relative node threshold: nodes s, t merge when
 symmetric second-difference form makes dd2 exactly permutation invariant,
 including in floating point.
 
-The chain rule in calculus needs every dd1 and dd2 over a whole spectrum.
-_dd_tables evaluates f and f' once per node and forms all entries by numpy
-broadcast, bitwise equal to the scalar dd1/dd2.  loewner_matrix and
-second_dd_matrix keep their scalar loops: their callers (the order-n checks
-and the acceptance report) build thousands of matrices of order 2 to 8, where
-the fixed cost of the broadcast outweighs the loop; at n = 2 the broadcast is
-about seven times slower, and it is still slower at n = 8.
+The matrices are formed by numpy broadcast from f and f' evaluated once per
+node (f'' only at triple coincidences), with the scalar dd1/dd2 expressions
+in the same operation order, so every entry equals dd1/dd2 bitwise.  Only
+near-but-unequal node pairs, which need f' at a new point, go to the scalar
+forms.  _loewner_stack and _anchored_stack build one matrix per row of a
+(trials, n) node array, so the order-n checks build all their trials at
+once; loewner_matrix and second_dd_matrix are the same builds on one row.
+_dd_tables does the same for every dd1 and dd2 over a spectrum, which the
+chain rule in calculus needs.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ TAU_NODE = 1e-7
 
 def _near(x: float, y: float) -> bool:
     return abs(x - y) <= TAU_NODE * max(1.0, abs(x), abs(y))
+
+
+def _near_arrays(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """_near elementwise over broadcast arrays, with the same arithmetic."""
+    return np.abs(x - y) <= TAU_NODE * np.maximum(np.maximum(1.0, np.abs(x)), np.abs(y))
 
 
 @dataclass(frozen=True)
@@ -107,10 +114,8 @@ def _sorted_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return p, q, r, pos
 
 
-def _dd_tables(
-    f: ScalarFunction, nodes, second: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """[dd1(f, t_i, t_j)] and, if second, [dd2(f, t_i, t_j, t_k)] over nodes.
+def _dd_tables(f: ScalarFunction, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """[dd1(f, t_i, t_j)] and [dd2(f, t_i, t_j, t_k)] over nodes.
 
     f and f' are evaluated once per node and the entries formed by broadcast
     over the sorted nodes, with the scalar expressions in the same operation
@@ -128,17 +133,13 @@ def _dd_tables(
     sl = s.tolist()
     fs = np.array([f(x) for x in sl])
     ds = np.array([f.deriv(x) for x in sl])
-    a = np.abs(s)
-    scale = np.maximum(np.maximum(1.0, a)[:, None], a)
-    near = np.abs(s[:, None] - s) <= TAU_NODE * scale
+    near = _near_arrays(s[:, None], s)
     # here the coincidence limit f'((x + y) / 2) is the cached f'(x)
     tie = (s[:, None] == s) & (0.5 * (s + s) == s)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         d1 = np.where(tie, ds[:, None], (fs - fs[:, None]) / (s - s[:, None]))
     for i, j in zip(*np.nonzero(np.triu(near & ~tie))):
         d1[i, j] = d1[j, i] = dd1(f, sl[i], sl[j])
-    if not second:
-        return d1[rank[:, None], rank], None
     p, q, r, pos = _sorted_triples(len(t))
     t1, t2, t3 = s[p], s[q], s[r]
     low, high = near[p, q], near[q, r]
@@ -161,6 +162,73 @@ def _dd_tables(
     return d1[rank[:, None], rank], d2.take(pos)
 
 
+def _node_values(g, ts: np.ndarray) -> np.ndarray:
+    """g (f or f.deriv) at every entry of ts, called on Python floats like dd1/dd2."""
+    return np.array([g(x) for x in ts.ravel().tolist()]).reshape(ts.shape)
+
+
+def _loewner_stack(f: ScalarFunction, ts: np.ndarray) -> np.ndarray:
+    """[dd1(f, t_i, t_j)] for every row t of the (..., n) node array ts."""
+    fs, ds = _node_values(f, ts), _node_values(f.deriv, ts)
+    ti, tj = ts[..., :, None], ts[..., None, :]
+    near = _near_arrays(ti, tj)
+    # here the coincidence limit f'((s + t) / 2) is the cached f'(t)
+    tie = (ti == tj) & (0.5 * (ti + ti) == ti)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(tie, ds[..., :, None], (fs[..., None, :] - fs[..., :, None]) / (tj - ti))
+    for *k, i, j in np.argwhere(near & ~tie):
+        m[(*k, i, j)] = dd1(f, float(ts[(*k, i)]), float(ts[(*k, j)]))
+    return m
+
+
+def _anchored_stack(f: ScalarFunction, ts: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """[dd2(f, t_i, t_j, a)] for every row t of the (rows, n) node array ts
+    and its anchor a.
+
+    Each row is sorted once; the sorted triple of entry (i, j) is read off
+    the ranks of t_i, t_j and a, so it equals the triple dd2 sorts.  A
+    distinct triple takes the partial-fraction form, an exactly tied pair
+    {x, x} with a third node y takes (f'(x) - dd1(f, y, x)) / (x - y) from
+    the cached values, and a triple coincidence f''/2 at the mean; the other
+    near pairs go to dd2.
+    """
+    rows, n = ts.shape
+    t = np.column_stack([ts, anchor])
+    order = np.argsort(t, axis=-1, kind="stable")
+    s = np.take_along_axis(t, order, axis=-1)
+    rank = np.argsort(order, axis=-1)
+    ri, rj, ra = rank[:, :n, None], rank[:, None, :n], rank[:, n, None, None]
+    lo = np.minimum(np.minimum(ri, rj), ra)
+    hi = np.maximum(np.maximum(ri, rj), ra)
+    # flat positions in s of each entry's sorted triple
+    row = (n + 1) * np.arange(rows)[:, None, None]
+    pos = [row + k for k in (lo, ri + rj + ra - lo - hi, hi)]
+    fs = _node_values(f, s)
+    t1, t2, t3 = (s.ravel()[k] for k in pos)
+    f1, f2, f3 = (fs.ravel()[k] for k in pos)
+    d2 = _node_values(f.deriv, s).ravel()[pos[1]]
+    low, high = _near_arrays(t1, t2), _near_arrays(t2, t3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = (
+            f1 / ((t1 - t2) * (t1 - t3))
+            + f2 / ((t2 - t1) * (t2 - t3))
+            + f3 / ((t3 - t1) * (t3 - t2))
+        )
+        # (f'(x) - dd1(f, y, x)) / (x - y) for a tied pair {x, x} and a third node y
+        tie_high = high & ~low & (t2 == t3) & (0.5 * (t2 + t3) == t2)
+        m = np.where(tie_high, (d2 - (f2 - f1) / (t2 - t1)) / (t2 - t1), m)
+        tie_low = low & ~high & (t1 == t2) & (0.5 * (t1 + t2) == t2)
+        m = np.where(tie_low, (d2 - (f2 - f3) / (t2 - t3)) / (t2 - t3), m)
+    triple = low & high
+    if triple.any():
+        mean = ((t1[triple] + t2[triple] + t3[triple]) / 3.0).tolist()
+        m[triple] = [0.5 * f.deriv2(x) for x in mean]
+    for k in np.argwhere((low | high) & ~(triple | tie_low | tie_high)):
+        k = tuple(k)
+        m[k] = dd2(f, float(t1[k]), float(t2[k]), float(t3[k]))
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class LoewnerMatrix:
     """Real symmetric matrix of first divided differences over a node set."""
@@ -177,15 +245,7 @@ class LoewnerMatrix:
 
 def loewner_matrix(f: ScalarFunction, ns: NodeSet) -> LoewnerMatrix:
     """[dd1(f, t_i, t_j)]_{i,j}; diagonal entries are exactly f'(t_i)."""
-    ts = ns.nodes
-    n = len(ts)
-    m = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        m[i, i] = dd1(f, ts[i], ts[i])
-        for j in range(i + 1, n):
-            v = dd1(f, ts[i], ts[j])
-            m[i, j] = v
-            m[j, i] = v
+    m = _loewner_stack(f, np.array(ns.nodes))
     m.setflags(write=False)
     return LoewnerMatrix(nodeset=ns, entries=m)
 
@@ -198,14 +258,7 @@ def second_dd_matrix(f: ScalarFunction, ns: NodeSet, anchor: float) -> LoewnerMa
     """
     if not ns.domain.contains_strictly(anchor):
         raise UsageError(f"anchor {anchor} outside {ns.domain}")
-    ts = ns.nodes
-    n = len(ts)
-    m = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i, n):
-            v = dd2(f, ts[i], ts[j], anchor)
-            m[i, j] = v
-            m[j, i] = v
+    m = _anchored_stack(f, np.array([ns.nodes]), np.array([float(anchor)]))[0]
     m.setflags(write=False)
     return LoewnerMatrix(nodeset=ns, entries=m)
 

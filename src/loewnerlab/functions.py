@@ -44,7 +44,8 @@ class ScalarFunction:
 
     deriv/deriv2 use the closed forms when provided and otherwise fall back
     to central differences with steps h ~ eps^(1/3) resp. eps^(1/4), scaled
-    by max(1, |x|).
+    by max(1, |x|).  A value too large for a float (math.exp(1000)) is a
+    NumericalFailure naming the function and the point.
     """
 
     name: str
@@ -55,19 +56,25 @@ class ScalarFunction:
     claimed_class: str = UNKNOWN
 
     def __call__(self, x: float) -> float:
-        return float(self.fn(x))
+        return self._eval(self.fn, x, "")
 
     def deriv(self, x: float) -> float:
         if self.d1 is not None:
-            return float(self.d1(x))
+            return self._eval(self.d1, x, "'")
         h = _FD1_H * max(1.0, abs(x))
         return (self(x + h) - self(x - h)) / (2.0 * h)
 
     def deriv2(self, x: float) -> float:
         if self.d2 is not None:
-            return float(self.d2(x))
+            return self._eval(self.d2, x, "''")
         h = _FD2_H * max(1.0, abs(x))
         return (self(x + h) - 2.0 * self(x) + self(x - h)) / (h * h)
+
+    def _eval(self, g, x: float, primes: str) -> float:
+        try:
+            return float(g(x))
+        except OverflowError as exc:
+            raise NumericalFailure(f"{self.name}{primes}({float(x)!r}) overflows: {exc}") from exc
 
     def negated(self) -> "ScalarFunction":
         fn, d1, d2 = self.fn, self.d1, self.d2

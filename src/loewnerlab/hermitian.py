@@ -6,6 +6,13 @@ scale-relative smallest eigenvalue behind every PSD decision, and seeded
 generators for random ordered pairs A <= B with spectra confined to an
 interval.
 
+The generators split into a draw step, which takes every random number a
+matrix needs from the generator, and a build step, which turns draws into
+matrices over any number of leading axes.  The randomized checks draw each
+trial from its own substream and build the whole (trials, n, n) stack at
+once; the single-matrix functions run the same build on one draw.  The
+checked eigendecomposition works on stacks in the same way.
+
 Complex entries are supported throughout; real symmetric arrays are accepted
 as a special case and stored as complex.
 """
@@ -28,14 +35,17 @@ TOL_RECON = 1e-10
 _MAX_SHRINK_STEPS = 60
 
 
-def min_eig_scaled(entries: np.ndarray) -> float:
+def min_eig_scaled(entries: np.ndarray):
     """Smallest eigenvalue over max(1, ||M||), the quantity PSD_TOL bounds.
 
     A relative floor, because an absolute threshold would misjudge matrices
-    living on very different scales.
+    living on very different scales.  A float for one matrix, an array with
+    one value per matrix for a stack.
     """
     lam = np.linalg.eigvalsh(entries)
-    return float(lam[0]) / max(1.0, float(np.abs(lam).max()))
+    top = np.abs(lam).max(axis=-1)
+    out = lam[..., 0] / np.where(top > 1.0, top, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -66,8 +76,26 @@ POSITIVE_AXIS = Interval(0.0, math.inf)
 
 
 def hermitian_part(arr: np.ndarray) -> np.ndarray:
-    """(M + M*)/2; bitwise conjugate-symmetric thanks to commutative adds."""
-    return (arr + arr.conj().T) / 2
+    """(M + M*)/2; bitwise conjugate-symmetric thanks to commutative adds.
+
+    Works on stacks: the adjoint is taken over the last two axes.
+    """
+    return (arr + _adjoint(arr)) / 2
+
+
+def _adjoint(arr: np.ndarray) -> np.ndarray:
+    return arr.conj().swapaxes(-1, -2)
+
+
+def _require_hermitian(arr: np.ndarray) -> None:
+    """HermitianMatrix's finiteness and exact-symmetry checks, on every slice."""
+    if not np.isfinite(arr).all():
+        raise UsageError("matrix entries must be finite")
+    if not np.array_equal(arr, _adjoint(arr)):
+        raise UsageError(
+            "matrix is not Hermitian; use HermitianMatrix.from_array to "
+            "symmetrize nearly-Hermitian input"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,13 +110,7 @@ class HermitianMatrix:
             raise UsageError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise UsageError("empty matrix")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise UsageError("matrix entries must be finite")
-        if not np.array_equal(arr, arr.conj().T):
-            raise UsageError(
-                "matrix is not Hermitian; use HermitianMatrix.from_array to "
-                "symmetrize nearly-Hermitian input"
-            )
+        _require_hermitian(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -155,25 +177,38 @@ class EigenDecomposition:
         return HermitianMatrix(hermitian_part(a))
 
 
+def _eigh_checked(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a matrix or a stack, with verified residuals on every slice.
+
+    Raises NumericalFailure if the solver fails or, on the first slice where
+    it happens, the reconstruction and unitarity residuals exceed TOL_RECON
+    relative to ||A||.
+    """
+    try:
+        lam, u = np.linalg.eigh(entries)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+    nrm = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
+    recon = (u * lam[..., None, :]) @ _adjoint(u)
+    res = np.abs(recon - entries).max(axis=(-2, -1))
+    ures = np.abs(_adjoint(u) @ u - np.eye(lam.shape[-1])).max(axis=(-2, -1))
+    bad = (res > TOL_RECON * nrm) | (ures > TOL_RECON)
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NumericalFailure(
+            f"eigendecomposition residuals too large: reconstruction {res[k]:.3e} "
+            f"(norm {nrm[k]:.3e}), unitarity {ures[k]:.3e}"
+        )
+    return lam, u
+
+
 def eigendecompose(a: HermitianMatrix) -> EigenDecomposition:
     """Spectral decomposition with verified residuals.
 
     Raises NumericalFailure if the solver fails or the reconstruction and
     unitarity residuals exceed TOL_RECON relative to ||A||.
     """
-    try:
-        lam, u = np.linalg.eigh(a.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    nrm = max(float(np.abs(lam).max()), 1e-300)
-    recon = u @ np.diag(lam) @ u.conj().T
-    res = float(np.abs(recon - a.entries).max())
-    ures = float(np.abs(u.conj().T @ u - np.eye(a.dim)).max())
-    if res > TOL_RECON * nrm or ures > TOL_RECON:
-        raise NumericalFailure(
-            f"eigendecomposition residuals too large: reconstruction {res:.3e} "
-            f"(norm {nrm:.3e}), unitarity {ures:.3e}"
-        )
+    lam, u = _eigh_checked(a.entries)
     lam = np.array(lam, dtype=np.float64)
     u = np.array(u, dtype=np.complex128)
     lam.setflags(write=False)
@@ -181,24 +216,51 @@ def eigendecompose(a: HermitianMatrix) -> EigenDecomposition:
     return EigenDecomposition(unitary=u, eigenvalues=lam)
 
 
-def _spectrum_in(a: HermitianMatrix, iv: Interval) -> bool:
-    """True iff every eigenvalue lies strictly inside iv."""
-    lam = np.linalg.eigvalsh(a.entries)
-    return bool(iv.lo < lam[0] and lam[-1] < iv.hi)
+def _spectrum_in(entries: np.ndarray, iv: Interval):
+    """True iff every eigenvalue lies strictly inside iv; one bool per slice."""
+    lam = np.linalg.eigvalsh(entries)
+    return (iv.lo < lam[..., 0]) & (lam[..., -1] < iv.hi)
+
+
+def _complex_normal(n: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _qr_unitary(z: np.ndarray) -> np.ndarray:
+    """Haar-ish unitaries from QR factorizations of z, with phase fix."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d)).conj()[..., None, :]
 
 
 def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary from a QR factorization with phase fix."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d)).conj()
+    return _qr_unitary(_complex_normal(n, rng))
 
 
 def _resolve_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _draw_hermitian(n: int, iv: Interval, rng, margin: float = 0.02):
+    """The draws of one random_hermitian: eigenvalues, then the QR input."""
+    if n < 1:
+        raise UsageError(f"dimension must be >= 1, got {n}")
+    if not iv.bounded:
+        raise UsageError("random generation needs a bounded interval")
+    pad = margin * iv.width
+    lam = rng.uniform(iv.lo + pad, iv.hi - pad, n)
+    return lam, _complex_normal(n, rng)
+
+
+def _build_hermitian(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """U diag(lam) U* with U from z, over any leading axes; checked."""
+    u = _qr_unitary(z)
+    out = hermitian_part((u * lam[..., None, :]) @ _adjoint(u))
+    _require_hermitian(out)
+    return out
 
 
 def random_hermitian(
@@ -210,15 +272,46 @@ def random_hermitian(
     conjugated by a random unitary; the margin absorbs roundoff so the strict
     containment survives the conjugation.
     """
-    if n < 1:
-        raise UsageError(f"dimension must be >= 1, got {n}")
-    if not iv.bounded:
-        raise UsageError("random generation needs a bounded interval")
-    rng = _resolve_rng(seed)
-    pad = margin * iv.width
-    lam = rng.uniform(iv.lo + pad, iv.hi - pad, n)
-    u = _random_unitary(n, rng)
-    return HermitianMatrix(hermitian_part(u @ np.diag(lam) @ u.conj().T))
+    draw = _draw_hermitian(n, iv, _resolve_rng(seed), margin)
+    return HermitianMatrix(_build_hermitian(*draw))
+
+
+def _draw_ordered_pair(n: int, iv: Interval, rng):
+    """The draws of one random_ordered_pair: A's, P's, then the step size."""
+    lam, z = _draw_hermitian(n, iv, rng)
+    w = _complex_normal(n, rng)
+    return lam, z, w, rng.uniform(0.2, 0.95)
+
+
+def _build_ordered_pairs(iv: Interval, lam, z, w, step) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks A <= B from stacked draws (leading axis: one pair per draw).
+
+    B = A + c * P with P = W W* scaled to unit spectral norm and c = step *
+    the Weyl headroom below iv.hi.  One eigvalsh checks the containment of
+    every B; only the pairs that fail it halve c, one pair at a time.
+    """
+    a = _build_hermitian(lam, z)
+    p = hermitian_part(w @ _adjoint(w))
+    p = p / np.linalg.eigvalsh(p).max(axis=-1)[:, None, None]
+    headroom = (iv.hi - 0.01 * iv.width) - np.linalg.eigvalsh(a).max(axis=-1)
+    c = step * np.where(0.0 > headroom, 0.0, headroom)
+    b = a + c[:, None, None] * p
+    _require_hermitian(b)
+    for k in np.flatnonzero(~_spectrum_in(b, iv)):
+        ck = float(c[k])
+        for _ in range(_MAX_SHRINK_STEPS - 1):
+            ck /= 2
+            bk = a[k] + ck * p[k]
+            _require_hermitian(bk)
+            if _spectrum_in(bk, iv):
+                b[k] = bk
+                break
+        else:
+            raise NumericalFailure(
+                f"could not place B = A + c*P inside {iv} after "
+                f"{_MAX_SHRINK_STEPS} bisection steps"
+            )
+    return a, b
 
 
 def random_ordered_pair(
@@ -231,23 +324,6 @@ def random_ordered_pair(
     by bisection until the spectrum containment is verified.  Deterministic
     for a fixed seed; n = 1 degenerates to a scalar pair a <= b.
     """
-    if n < 1:
-        raise UsageError(f"dimension must be >= 1, got {n}")
-    if not iv.bounded:
-        raise UsageError("random generation needs a bounded interval")
-    rng = _resolve_rng(seed)
-    a = random_hermitian(n, iv, rng)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    p = hermitian_part(z @ z.conj().T)
-    p = p / float(np.linalg.eigvalsh(p).max())
-    headroom = (iv.hi - 0.01 * iv.width) - float(np.linalg.eigvalsh(a.entries).max())
-    c = rng.uniform(0.2, 0.95) * max(headroom, 0.0)
-    for _ in range(_MAX_SHRINK_STEPS):
-        b = HermitianMatrix(a.entries + c * p)
-        if _spectrum_in(b, iv):
-            return a, b
-        c /= 2
-    raise NumericalFailure(
-        f"could not place B = A + c*P inside {iv} after "
-        f"{_MAX_SHRINK_STEPS} bisection steps"
-    )
+    draw = _draw_ordered_pair(n, iv, _resolve_rng(seed))
+    a, b = _build_ordered_pairs(iv, *(np.array([x]) for x in draw))
+    return HermitianMatrix(a[0]), HermitianMatrix(b[0])

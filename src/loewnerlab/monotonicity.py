@@ -1,17 +1,22 @@
 """Randomized verification and refutation of operator monotonicity/convexity.
 
-Four checkers, each a seeded trial loop that either certifies a property on
-every sampled instance or returns the earliest counterexample as a witness:
+Four checkers, each a seeded set of trials that either certifies a property
+on every sampled instance or returns the earliest counterexample as a witness:
 
 * check_monotone_order_n      -- positivity of first-divided-difference matrices
 * check_convex_order_n        -- positivity of anchored second-difference matrices
 * check_monotone_direct       -- f(A) <= f(B) on random ordered pairs
 * check_midpoint_concavity    -- (f(A)+f(B))/2 <= f((A+B)/2) on random pairs
 
-All trials use per-trial RNG substreams derived from (seed, tag, index), so
-verdicts do not depend on execution order and are reproducible bit for bit.
-min_eig_seen records the smallest scale-normalized eigenvalue encountered,
-i.e. min over trials of min_eig / max(1, ||M||).
+Each trial draws its inputs from its own RNG substream derived from
+(seed, tag, index), so every trial can be reproduced on its own and verdicts
+are reproducible bit for bit.  A checker then works in three steps: draw
+every trial, build the (trials, n, n) stack of matrices to test (one
+broadcast, or one QR and one eigendecomposition for the whole stack), and
+decide with one eigvalsh of that stack.  A non-finite entry in the stack is a
+NumericalFailure naming the first such trial.  min_eig_seen records the
+smallest scale-normalized eigenvalue, min over trials of
+min_eig / max(1, ||M||); the witness is the first failing trial.
 
 The module also hosts the function transformations that preserve operator
 monotonicity (-f(t)/t, t/f(t), t*f(1/t)), the normalized-derivative reading
@@ -26,25 +31,27 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import apply_function
+from .calculus import _apply_function_stack
 from .divdiff import (
     TAU_NODE,
     NodeSet,
-    dd1,
-    dd2,
+    _anchored_stack,
+    _loewner_stack,
+    _near,
     difference_quotient_transform,
-    loewner_matrix,
-    second_dd_matrix,
 )
-from .errors import UsageError
+from .errors import NumericalFailure, UsageError
 from .functions import OPERATOR_MONOTONE, UNKNOWN, ScalarFunction, get_function
 from .hermitian import (
     PSD_TOL,
     HermitianMatrix,
     Interval,
+    _build_hermitian,
+    _build_ordered_pairs,
+    _draw_hermitian,
+    _draw_ordered_pair,
+    _require_hermitian,
     min_eig_scaled,
-    random_hermitian,
-    random_ordered_pair,
 )
 
 _TAG_MONOTONE = 11
@@ -94,13 +101,8 @@ def sample_nodes(rng: np.random.Generator, n: int, iv: Interval) -> NodeSet:
     if not iv.bounded:
         raise UsageError("node sampling needs a bounded interval")
     for _ in range(100):
-        ts = rng.uniform(iv.lo, iv.hi, n)
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(ts[i] - ts[j]) <= TAU_NODE * max(1.0, abs(ts[i]), abs(ts[j])):
-                    ok = False
-        if ok:
+        ts = rng.uniform(iv.lo, iv.hi, n).tolist()
+        if not any(_near(s, t) for i, s in enumerate(ts) for t in ts[i + 1:]):
             return NodeSet(tuple(ts), iv)
     raise UsageError(f"could not draw {n} separated nodes in {iv}")
 
@@ -123,9 +125,43 @@ def sample_nodes_near_coincident(
 Sampler = Callable[[np.random.Generator, int, Interval], NodeSet]
 
 
-def _check_iv_in_domain(f: ScalarFunction, iv: Interval):
+def _check_inputs(f: ScalarFunction, iv: Interval, trials: int):
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
     if not (iv.lo >= f.domain.lo and iv.hi <= f.domain.hi):
         raise UsageError(f"{iv} is not inside the domain of {f.name}")
+
+
+def _draw_node_sets(sampler, seed, tag, n, iv, trials):
+    draw = sampler or sample_nodes
+    sets = [draw(_trial_rng(seed, tag, t), n, iv) for t in range(trials)]
+    return sets, np.array([ns.nodes for ns in sets])
+
+
+def _decide(prop: str, f: ScalarFunction, n: int, stack: np.ndarray, witness) -> Verdict:
+    """The verdict on a (trials, n, n) stack: one eigvalsh, first failure wins.
+
+    witness(k) rebuilds the inputs of trial k.
+    """
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        raise NumericalFailure(
+            f"{prop} of {f.name}: non-finite matrix entry in trial {int(np.argmin(finite))}"
+        )
+    _require_hermitian(stack)
+    scaled = min_eig_scaled(stack)
+    fails = np.flatnonzero(~(scaled >= -PSD_TOL))
+    # the first smallest value, as a running min() over the trials keeps it
+    # (0.0 and -0.0 compare equal but print differently)
+    lowest = float(scaled[np.argmin(scaled)])
+    return Verdict(
+        property=prop,
+        order=n,
+        trials=len(stack),
+        min_eig_seen=lowest,
+        outcome="fail" if fails.size else "pass",
+        witness=witness(int(fails[0])) if fails.size else None,
+    )
 
 
 def check_monotone_order_n(
@@ -137,23 +173,9 @@ def check_monotone_order_n(
     sampler: Optional[Sampler] = None,
 ) -> Verdict:
     """PSD test of [dd1(f, t_i, t_j)] over `trials` random order-n node sets."""
-    _check_iv_in_domain(f, iv)
-    draw = sampler or sample_nodes
-    min_seen, witness = np.inf, None
-    for t in range(trials):
-        ns = draw(_trial_rng(seed, _TAG_MONOTONE, t), n, iv)
-        scaled = min_eig_scaled(loewner_matrix(f, ns).entries)
-        min_seen = min(min_seen, scaled)
-        if not scaled >= -PSD_TOL and witness is None:
-            witness = ns
-    return Verdict(
-        property="monotone_order_n",
-        order=n,
-        trials=trials,
-        min_eig_seen=float(min_seen),
-        outcome="pass" if witness is None else "fail",
-        witness=witness,
-    )
+    _check_inputs(f, iv, trials)
+    sets, ts = _draw_node_sets(sampler, seed, _TAG_MONOTONE, n, iv, trials)
+    return _decide("monotone_order_n", f, n, _loewner_stack(f, ts), sets.__getitem__)
 
 
 def check_convex_order_n(
@@ -165,73 +187,43 @@ def check_convex_order_n(
     sampler: Optional[Sampler] = None,
 ) -> Verdict:
     """PSD test of [dd2(f, t_i, t_j, t_1)] with the first node as anchor."""
-    _check_iv_in_domain(f, iv)
-    draw = sampler or sample_nodes
-    min_seen, witness = np.inf, None
-    for t in range(trials):
-        ns = draw(_trial_rng(seed, _TAG_CONVEX, t), n, iv)
-        m = second_dd_matrix(f, ns, anchor=ns.nodes[0])
-        scaled = min_eig_scaled(m.entries)
-        min_seen = min(min_seen, scaled)
-        if not scaled >= -PSD_TOL and witness is None:
-            witness = ns
-    return Verdict(
-        property="convex_order_n",
-        order=n,
-        trials=trials,
-        min_eig_seen=float(min_seen),
-        outcome="pass" if witness is None else "fail",
-        witness=witness,
-    )
+    _check_inputs(f, iv, trials)
+    sets, ts = _draw_node_sets(sampler, seed, _TAG_CONVEX, n, iv, trials)
+    stack = _anchored_stack(f, ts, ts[:, 0])
+    return _decide("convex_order_n", f, n, stack, sets.__getitem__)
+
+
+def _pair(a: np.ndarray, b: np.ndarray):
+    return lambda k: (HermitianMatrix(a[k]), HermitianMatrix(b[k]))
 
 
 def check_monotone_direct(
     f: ScalarFunction, n: int, iv: Interval, trials: int, seed
 ) -> Verdict:
     """f(A) <= f(B) on random ordered pairs A <= B with spectra in iv."""
-    _check_iv_in_domain(f, iv)
-    min_seen, witness = np.inf, None
-    for t in range(trials):
-        a, b = random_ordered_pair(n, iv, _trial_rng(seed, _TAG_DIRECT, t))
-        diff = apply_function(f, b) - apply_function(f, a)
-        scaled = min_eig_scaled(diff.entries)
-        min_seen = min(min_seen, scaled)
-        if not scaled >= -PSD_TOL and witness is None:
-            witness = (a, b)
-    return Verdict(
-        property="monotone_direct",
-        order=n,
-        trials=trials,
-        min_eig_seen=float(min_seen),
-        outcome="pass" if witness is None else "fail",
-        witness=witness,
-    )
+    _check_inputs(f, iv, trials)
+    draws = [_draw_ordered_pair(n, iv, _trial_rng(seed, _TAG_DIRECT, t))
+             for t in range(trials)]
+    a, b = _build_ordered_pairs(iv, *(np.array(x) for x in zip(*draws)))
+    fb, fa = _apply_function_stack(f, b), _apply_function_stack(f, a)
+    return _decide("monotone_direct", f, n, fb - fa, _pair(a, b))
 
 
 def check_midpoint_concavity(
     f: ScalarFunction, n: int, iv: Interval, trials: int, seed
 ) -> Verdict:
     """(f(A) + f(B))/2 <= f((A+B)/2) on independent random pairs."""
-    _check_iv_in_domain(f, iv)
-    min_seen, witness = np.inf, None
+    _check_inputs(f, iv, trials)
+    draws = []
     for t in range(trials):
         rng = _trial_rng(seed, _TAG_MIDPOINT, t)
-        a = random_hermitian(n, iv, rng)
-        b = random_hermitian(n, iv, rng)
-        mid = HermitianMatrix((a.entries + b.entries) / 2.0)
-        gap = apply_function(f, mid) - (apply_function(f, a) + apply_function(f, b)).scaled(0.5)
-        scaled = min_eig_scaled(gap.entries)
-        min_seen = min(min_seen, scaled)
-        if not scaled >= -PSD_TOL and witness is None:
-            witness = (a, b)
-    return Verdict(
-        property="midpoint_concavity",
-        order=n,
-        trials=trials,
-        min_eig_seen=float(min_seen),
-        outcome="pass" if witness is None else "fail",
-        witness=witness,
-    )
+        draws.append(_draw_hermitian(n, iv, rng) + _draw_hermitian(n, iv, rng))
+    lam_a, z_a, lam_b, z_b = (np.array(x) for x in zip(*draws))
+    a, b = _build_hermitian(lam_a, z_a), _build_hermitian(lam_b, z_b)
+    mid = (a + b) / 2.0
+    _require_hermitian(mid)
+    fm, fa, fb = (_apply_function_stack(f, m) for m in (mid, a, b))
+    return _decide("midpoint_concavity", f, n, fm - (fa + fb) * 0.5, _pair(a, b))
 
 
 # ---------------------------------------------------------------------------

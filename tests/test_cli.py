@@ -70,6 +70,26 @@ def test_check_order_out_of_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("exp", "--property", "monotone", "--interval", "0.1,1000"),
+    ("exp", "--property", "monotone-direct", "--interval", "0.1,1000"),
+    ("exp", "--property", "convex", "--interval", "700,720"),
+    ("square", "--property", "monotone", "--interval", "1e200,1e300"),
+])
+def test_check_extreme_scales_are_numerical_failures(capsys, argv):
+    # exp overflows a float; t^2 on (1e200, 1e300) makes inf - inf entries
+    code, out, err = run(capsys, "check", *argv, "--seed", "1", "--trials", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+def test_check_zero_trials_is_usage_error(capsys):
+    code, _, err = run(capsys, "check", "sqrt", "--trials", "0", "--seed", "1")
+    assert code == 2
+    assert "trials" in err
+
+
 def test_check_requires_seed():
     with pytest.raises(SystemExit) as exc_info:
         main(["check", "sqrt"])

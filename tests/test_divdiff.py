@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from loewnerlab.divdiff import (
     TAU_NODE,
     NodeSet,
+    _anchored_stack,
     _dd_tables,
+    _loewner_stack,
     dd1,
     dd2,
     difference_quotient_transform,
@@ -34,7 +36,25 @@ def assert_tables_match_scalar(f, ts):
     first, second = _dd_tables(f, ts)
     assert first.tobytes() == d1.tobytes()
     assert second.tobytes() == d2.tobytes()
-    assert _dd_tables(f, ts, second=False)[0].tobytes() == d1.tobytes()
+    assert_stacks_match_scalar(f, ts, d1, d2)
+
+
+def assert_stacks_match_scalar(f, ts, d1, d2):
+    """The Loewner and anchored stacks equal the scalar loops, bitwise."""
+    t = np.array(ts)
+    assert _loewner_stack(f, t).tobytes() == d1.tobytes()
+    for k, anchor in enumerate(ts):
+        m = _anchored_stack(f, t[None], np.array([anchor]))[0]
+        assert m.tobytes() == d2[:, :, k].copy().tobytes()
+    off = 0.5 * (min(ts) + max(ts)) + 0.123
+    d2_off = np.array([[dd2(f, a, b, off) for b in ts] for a in ts])
+    assert _anchored_stack(f, t[None], np.array([off]))[0].tobytes() == d2_off.tobytes()
+    # several rows at once: one matrix per row, each as if built alone
+    rows, anchors = np.stack([t, t[::-1]]), np.array([ts[0], off])
+    assert _loewner_stack(f, rows)[1].tobytes() == d1[::-1, ::-1].copy().tobytes()
+    stack = _anchored_stack(f, rows, anchors)
+    assert stack[0].tobytes() == d2[:, :, 0].copy().tobytes()
+    assert stack[1].tobytes() == d2_off[::-1, ::-1].copy().tobytes()
 
 
 def test_nodeset_validation():

@@ -10,7 +10,9 @@ from loewnerlab.hermitian import (
     Interval,
     POSITIVE_AXIS,
     PSD_TOL,
+    _eigh_checked,
     _random_unitary,
+    _require_hermitian,
     _spectrum_in,
     eigendecompose,
     hermitian_part,
@@ -123,8 +125,8 @@ def test_loewner_leq_and_spectrum():
     b = HermitianMatrix(np.diag([1.5, 2.0]).astype(complex))
     assert min_eig_scaled(b.entries - a.entries) >= -PSD_TOL
     assert min_eig_scaled(a.entries - b.entries) < -PSD_TOL
-    assert _spectrum_in(a, Interval(0.5, 2.5))
-    assert not _spectrum_in(a, Interval(1.5, 2.5))
+    assert _spectrum_in(a.entries, Interval(0.5, 2.5))
+    assert not _spectrum_in(a.entries, Interval(1.5, 2.5))
 
 
 def test_random_unitary_is_unitary_and_seeded():
@@ -138,7 +140,7 @@ def test_random_hermitian_spectrum_containment():
     iv = Interval(0.2, 7.0)
     for seed in range(20):
         m = random_hermitian(5, iv, seed)
-        assert _spectrum_in(m, iv)
+        assert _spectrum_in(m.entries, iv)
         assert np.array_equal(m.entries, m.entries.conj().T)
 
 
@@ -146,8 +148,8 @@ def test_random_ordered_pair_orders_and_contains():
     iv = Interval(0.1, 10.0)
     for seed in range(25):
         a, b = random_ordered_pair(4, iv, seed)
-        assert _spectrum_in(a, iv)
-        assert _spectrum_in(b, iv)
+        assert _spectrum_in(a.entries, iv)
+        assert _spectrum_in(b.entries, iv)
         diff = np.linalg.eigvalsh(b.entries - a.entries)
         assert diff[0] >= -1e-12
 
@@ -164,3 +166,25 @@ def test_random_generation_needs_bounded_interval():
         random_hermitian(3, POSITIVE_AXIS, 1)
     with pytest.raises(UsageError):
         random_ordered_pair(3, POSITIVE_AXIS, 1)
+
+
+def test_stacked_eigh_equals_single_decompositions():
+    mats = [random_hermitian(4, Interval(-3.0, 3.0), seed) for seed in range(5)]
+    lam, u = _eigh_checked(np.stack([m.entries for m in mats]))
+    for k, m in enumerate(mats):
+        dec = eigendecompose(m)
+        assert lam[k].tobytes() == dec.eigenvalues.tobytes()
+        assert u[k].tobytes() == dec.unitary.tobytes()
+
+
+def test_stacked_check_rejects_non_hermitian_slices():
+    good = random_hermitian(3, Interval(0.5, 2.0), 1).entries
+    bad = good.copy()
+    bad[0, 1] += 1e-15
+    _require_hermitian(np.stack([good, good]))
+    with pytest.raises(UsageError, match="not Hermitian"):
+        _require_hermitian(np.stack([good, bad]))
+    bad = good.copy()
+    bad[2, 2] = np.inf
+    with pytest.raises(UsageError, match="finite"):
+        _require_hermitian(np.stack([good, bad]))

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from loewnerlab.divdiff import loewner_matrix
-from loewnerlab.errors import UsageError
+import loewnerlab.hermitian as herm
+from loewnerlab import monotonicity as mono
+from loewnerlab.divdiff import dd1, dd2, difference_quotient_transform, loewner_matrix
+from loewnerlab.errors import NumericalFailure, UsageError
 from loewnerlab.functions import ScalarFunction, get_function
-from loewnerlab.hermitian import POSITIVE_AXIS, Interval
+from loewnerlab.hermitian import POSITIVE_AXIS, PSD_TOL, HermitianMatrix, Interval, hermitian_part
 from loewnerlab.monotonicity import (
     check_convex_order_n,
     check_midpoint_concavity,
@@ -175,3 +177,239 @@ def test_extreme_decomposition_rejects_bad_weight():
         extreme_decomposition(get_function("square"))
     with pytest.raises(UsageError):
         extreme_decomposition(get_function("exp"))
+
+
+# ---------------------------------------------------------------------------
+# The batched checkers against per-trial reference loops
+#
+# The reference builds every trial on its own, as the checkers did before they
+# were batched: scalar dd1/dd2 loops, one QR and one eigh per matrix, one
+# eigvalsh per trial.  The batched checkers must agree bit for bit.
+
+
+def _ref_min_eig_scaled(m):
+    lam = np.linalg.eigvalsh(m)
+    return float(lam[0]) / max(1.0, float(np.abs(lam).max()))
+
+
+def _ref_loewner(f, ts):
+    n = len(ts)
+    m = np.empty((n, n))
+    for i in range(n):
+        m[i, i] = dd1(f, ts[i], ts[i])
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = dd1(f, ts[i], ts[j])
+    return m
+
+
+def _ref_anchored(f, ts, anchor):
+    n = len(ts)
+    m = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            m[i, j] = m[j, i] = dd2(f, ts[i], ts[j], anchor)
+    return m
+
+
+def _ref_hermitian(n, iv, rng):
+    pad = 0.02 * iv.width
+    lam = rng.uniform(iv.lo + pad, iv.hi - pad, n)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    u = q * (d / np.abs(d)).conj()
+    return HermitianMatrix(hermitian_part(u @ np.diag(lam) @ u.conj().T))
+
+
+def _ref_spectrum_in(m, iv):
+    lam = np.linalg.eigvalsh(m.entries)
+    return iv.lo < lam[0] and lam[-1] < iv.hi
+
+
+def _ref_ordered_pair(n, iv, rng):
+    a = _ref_hermitian(n, iv, rng)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    p = hermitian_part(z @ z.conj().T)
+    p = p / float(np.linalg.eigvalsh(p).max())
+    headroom = (iv.hi - 0.01 * iv.width) - float(np.linalg.eigvalsh(a.entries).max())
+    c = rng.uniform(0.2, 0.95) * max(headroom, 0.0)
+    for _ in range(60):
+        b = HermitianMatrix(a.entries + c * p)
+        if _ref_spectrum_in(b, iv):
+            return a, b
+        c /= 2
+    raise AssertionError("reference bisection did not converge")
+
+
+def _ref_apply(f, a):
+    lam, u = np.linalg.eigh(a.entries)
+    vals = np.array([f(x) for x in lam])
+    return HermitianMatrix(hermitian_part(u @ np.diag(vals) @ u.conj().T))
+
+
+def _ref_trials(trials, tag, seed, build):
+    """(min_eig_seen, witness) of a per-trial loop; build(rng) -> (matrix, inputs)."""
+    min_seen, witness = np.inf, None
+    for t in range(trials):
+        m, inputs = build(mono._trial_rng(seed, tag, t))
+        scaled = _ref_min_eig_scaled(m)
+        min_seen = min(min_seen, scaled)
+        if not scaled >= -PSD_TOL and witness is None:
+            witness = inputs
+    return min_seen, witness
+
+
+def _reference(checker, f, n, iv, trials, seed, sampler=None):
+    draw = sampler or sample_nodes
+    if checker is check_monotone_order_n:
+        def build(rng):
+            ns = draw(rng, n, iv)
+            return _ref_loewner(f, ns.nodes), ns
+        return _ref_trials(trials, mono._TAG_MONOTONE, seed, build)
+    if checker is check_convex_order_n:
+        def build(rng):
+            ns = draw(rng, n, iv)
+            return _ref_anchored(f, ns.nodes, ns.nodes[0]), ns
+        return _ref_trials(trials, mono._TAG_CONVEX, seed, build)
+    if checker is check_monotone_direct:
+        def build(rng):
+            a, b = _ref_ordered_pair(n, iv, rng)
+            return (_ref_apply(f, b) - _ref_apply(f, a)).entries, (a, b)
+        return _ref_trials(trials, mono._TAG_DIRECT, seed, build)
+
+    def build(rng):
+        a, b = _ref_hermitian(n, iv, rng), _ref_hermitian(n, iv, rng)
+        mid = HermitianMatrix((a.entries + b.entries) / 2.0)
+        gap = _ref_apply(f, mid) - (_ref_apply(f, a) + _ref_apply(f, b)).scaled(0.5)
+        return gap.entries, (a, b)
+    return _ref_trials(trials, mono._TAG_MIDPOINT, seed, build)
+
+
+def _witness_bytes(w):
+    if w is None:
+        return None
+    if isinstance(w, tuple):
+        return tuple(m.entries.tobytes() for m in w)
+    return np.array(w.nodes).tobytes()
+
+
+def assert_matches_reference(checker, f, n, iv, trials, seed, **kw):
+    v = checker(f, n, iv, trials, seed, **kw)
+    min_seen, witness = _reference(checker, f, n, iv, trials, seed, **kw)
+    what = f"{checker.__name__}({f.name}, n={n}, seed={seed})"
+    assert np.float64(v.min_eig_seen).tobytes() == np.float64(min_seen).tobytes(), what
+    assert v.outcome == ("pass" if witness is None else "fail"), what
+    assert _witness_bytes(v.witness) == _witness_bytes(witness), what
+    assert (v.order, v.trials) == (n, trials)
+    return v
+
+
+CHECKERS = [check_monotone_order_n, check_convex_order_n,
+            check_monotone_direct, check_midpoint_concavity]
+EQUIV_FUNCTIONS = ["sqrt", "kernel:0.5", "id", "square", "cube", "exp"]
+
+
+@pytest.mark.parametrize("checker", CHECKERS, ids=lambda c: c.__name__)
+def test_batched_checkers_equal_per_trial_loops(checker):
+    outcomes = set()
+    for seed in (0, 7, 1234):
+        for n in (1, 2, 3, 4, 8):
+            for name in EQUIV_FUNCTIONS:
+                v = assert_matches_reference(checker, get_function(name), n, IV, 12, seed)
+                outcomes.add(v.outcome)
+    assert outcomes == {"pass", "fail"}  # both branches, witnesses included
+
+
+@pytest.mark.parametrize("checker", CHECKERS[:2], ids=lambda c: c.__name__)
+def test_batched_order_n_with_near_coincident_sampler_and_transform(checker):
+    f = get_function("sqrt")
+    g = difference_quotient_transform(f, 2.5).negated()
+    for seed in (0, 1, 2):
+        for n in (2, 4, 8):
+            assert_matches_reference(checker, f, n, IV, 10, seed,
+                                     sampler=sample_nodes_near_coincident)
+            assert_matches_reference(checker, g, n, IV, 10, seed)
+
+
+class _LargeStepRng:
+    """A trial generator whose step-size draw overshoots the Weyl headroom."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def standard_normal(self, *a):
+        return self._rng.standard_normal(*a)
+
+    def uniform(self, lo, hi, *size):
+        x = self._rng.uniform(lo, hi, *size)
+        return x * 40.0 if (lo, hi) == (0.2, 0.95) else x
+
+
+def test_batched_ordered_pairs_with_bisection_fallback(monkeypatch):
+    trial_rng = mono._trial_rng
+    monkeypatch.setattr(mono, "_trial_rng", lambda *a: _LargeStepRng(trial_rng(*a)))
+    calls = []
+    spectrum_in = herm._spectrum_in
+    monkeypatch.setattr(herm, "_spectrum_in",
+                        lambda m, iv: calls.append(m.ndim) or spectrum_in(m, iv))
+    for name in ("sqrt", "square"):
+        for seed in (0, 5):
+            for n in (1, 3):
+                assert_matches_reference(check_monotone_direct, get_function(name),
+                                         n, Interval(0.5, 4.0), 8, seed)
+    assert 2 in calls  # single pairs were bisected after the batched check
+
+
+@pytest.mark.parametrize("checker,calls", [
+    (check_monotone_order_n, 1), (check_convex_order_n, 1),
+    (check_monotone_direct, 4), (check_midpoint_concavity, 1),
+], ids=lambda c: getattr(c, "__name__", str(c)))
+def test_one_eigvalsh_on_the_final_stack(monkeypatch, checker, calls):
+    # direct also finds P's norm, A's top eigenvalue and B's containment by
+    # one eigvalsh of each stack; nothing is decomposed one trial at a time
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: shapes.append(m.shape) or eigvalsh(m))
+    checker(get_function("sqrt"), 3, IV, 7, 0)
+    assert shapes == [(7, 3, 3)] * calls
+
+
+def _nan_function():
+    return ScalarFunction("nan", POSITIVE_AXIS, lambda t: math.nan,
+                          lambda t: math.nan, lambda t: math.nan)
+
+
+@pytest.mark.parametrize("checker", CHECKERS, ids=lambda c: c.__name__)
+def test_non_finite_stack_is_a_numerical_failure(checker):
+    with pytest.raises(NumericalFailure, match="trial 0"):
+        checker(_nan_function(), 3, IV, 5, 0)
+
+
+@pytest.mark.parametrize("checker", CHECKERS, ids=lambda c: c.__name__)
+def test_trials_below_one_is_a_usage_error(checker):
+    for trials in (0, -3):
+        with pytest.raises(UsageError, match="trials"):
+            checker(get_function("sqrt"), 2, IV, trials, 0)
+
+
+def _ref_sample_nodes(rng, n, iv):
+    for _ in range(100):
+        ts = rng.uniform(iv.lo, iv.hi, n)
+        ok = True
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(ts[i] - ts[j]) <= 1e-7 * max(1.0, abs(ts[i]), abs(ts[j])):
+                    ok = False
+        if ok:
+            return tuple(float(t) for t in ts)
+    raise AssertionError("no separated nodes")
+
+
+def test_sample_nodes_equals_reference_loop():
+    tight = Interval(1.0, 1.0 + 4e-7)  # forces rejections and redraws
+    for seed in range(6):
+        for n, iv in ((1, IV), (2, IV), (5, IV), (8, IV), (2, tight)):
+            ns = sample_nodes(np.random.default_rng(seed), n, iv)
+            ref = _ref_sample_nodes(np.random.default_rng(seed), n, iv)
+            assert np.array(ns.nodes).tobytes() == np.array(ref).tobytes()
