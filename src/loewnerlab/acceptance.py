@@ -391,8 +391,7 @@ def crit_kubo_ando(cfg: RunConfig):
             worst_mono = min(worst_mono, min_eig_scaled(hi.entries - lo.entries))
 
             c = random_hermitian(n, Interval(0.3, 2.0), rng)
-            inner = evaluate_connection(spec, a, b)
-            lhs = hermitian_part(c.entries @ inner.entries @ c.entries)
+            lhs = hermitian_part(c.entries @ lo.entries @ c.entries)
             cac = HermitianMatrix(hermitian_part(c.entries @ a.entries @ c.entries))
             cbc = HermitianMatrix(hermitian_part(c.entries @ b.entries @ c.entries))
             rhs = evaluate_connection(spec, cac, cbc).entries
@@ -400,13 +399,12 @@ def crit_kubo_ando(cfg: RunConfig):
                 worst_transformer, _specnorm(lhs - rhs) / max(1.0, _specnorm(rhs))
             )
 
-            base = evaluate_connection(spec, a, b)
             prev = None
             last_eps = None
             for k in (1, 2, 4, 8, 16):
                 eps = 1.0 / k
                 cur = evaluate_connection(spec, _plus_eps(a, eps), _plus_eps(b, eps))
-                worst_chain = min(worst_chain, min_eig_scaled(cur.entries - base.entries))
+                worst_chain = min(worst_chain, min_eig_scaled(cur.entries - lo.entries))
                 if prev is not None:
                     worst_chain = min(
                         worst_chain, min_eig_scaled(prev.entries - cur.entries)
@@ -416,8 +414,8 @@ def crit_kubo_ando(cfg: RunConfig):
                 float(np.linalg.eigvalsh(a.entries)[0]),
                 float(np.linalg.eigvalsh(b.entries)[0]),
             )
-            bound = (last_eps / delta) * _specnorm(base.entries) * (1.0 + 1e-6) + 1e-9
-            gap = _specnorm(prev.entries - base.entries)
+            bound = (last_eps / delta) * _specnorm(lo.entries) * (1.0 + 1e-6) + 1e-9
+            gap = _specnorm(prev.entries - lo.entries)
             worst_limit = max(worst_limit, gap / bound)
 
     geo = geometric_spec(200)

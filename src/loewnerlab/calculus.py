@@ -9,9 +9,11 @@ anchored second divided differences, plus the first-order action on
 gamma''(t).  Coincident eigenvalues need no special casing -- the divided
 differences already degrade gracefully to derivative limits.  f and f' are
 evaluated once per eigenvalue, and the divided-difference matrices are formed
-from those values by broadcast (divdiff._loewner_stack and _dd_tables).
-apply_function has a stacked body that lifts f to a whole (trials, n, n)
-stack with one eigendecomposition; the randomized checks call it directly.
+from those values by the divdiff kernels (through _loewner_stack and
+_dd_tables).  apply_function has a stacked body that lifts f to a whole
+(trials, n, n) stack with one eigendecomposition, evaluating f per eigenvalue
+through divdiff._node_values as the divided-difference builds do; the
+randomized checks call it directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divdiff import _dd_tables, _loewner_stack
+from .divdiff import _dd_tables, _loewner_stack, _node_values
 from .errors import UsageError
 from .functions import ScalarFunction
 from .hermitian import (
@@ -73,7 +75,7 @@ def _apply_function_stack(f: ScalarFunction, entries: np.ndarray) -> np.ndarray:
     """
     lam, u = _eigh_checked(entries)
     _check_spectrum(f, lam)
-    vals = np.array([f(x) for x in lam.ravel()]).reshape(lam.shape)
+    vals = _node_values(f, lam)
     return hermitian_part((u * vals[..., None, :]) @ _adjoint(u))
 
 

@@ -207,8 +207,10 @@ def cmd_caratheodory(args) -> int:
 
 def cmd_report(args) -> int:
     names = None
-    if args.criteria:
+    if args.criteria is not None:
         names = [n.strip() for n in args.criteria.split(",") if n.strip()]
+        if not names:
+            raise UsageError(f"--criteria names no criterion: {args.criteria!r}")
     cfg = RunConfig(seed=args.seed, trials=args.trials, tol=args.tol)
     report = run_acceptance(cfg, names)
     _emit(report.to_json(), args.out)
@@ -297,6 +299,10 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # a size argument too large to allocate is a usage error
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,14 +12,17 @@ symmetric second-difference form makes dd2 exactly permutation invariant,
 including in floating point.
 
 The matrices are formed by numpy broadcast from f and f' evaluated once per
-node (f'' only at triple coincidences), with the scalar dd1/dd2 expressions
-in the same operation order, so every entry equals dd1/dd2 bitwise.  Only
-near-but-unequal node pairs, which need f' at a new point, go to the scalar
-forms.  _loewner_stack and _anchored_stack build one matrix per row of a
-(trials, n) node array, so the order-n checks build all their trials at
-once; loewner_matrix and second_dd_matrix are the same builds on one row.
-_dd_tables does the same for every dd1 and dd2 over a spectrum, which the
-chain rule in calculus needs.
+node (f'' only at triple coincidences).  Two kernels hold the only array
+forms: _dd1_values for dd1 over broadcast node pairs and _dd2_values for dd2
+over sorted node triples.  They use the scalar dd1/dd2 expressions in the
+same operation order, so every entry equals dd1/dd2 bitwise, and send only
+near-but-unequal nodes, which need f' at a new point, to the scalar forms.
+The builders do index work and call a kernel: _loewner_stack and
+_anchored_stack build one matrix per row of a (trials, n) node array (the
+order-n checks build all their trials at once; loewner_matrix and
+second_dd_matrix are the same builds on one row), and _dd_tables forms every
+dd1 and dd2 over a spectrum, once per sorted pair and triple, for the chain
+rule in calculus.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import UsageError
 from .functions import ScalarFunction, UNKNOWN
-from .hermitian import HermitianMatrix, Interval
+from .hermitian import Interval
 
 #: Relative node-coincidence threshold.
 TAU_NODE = 1e-7
@@ -101,65 +104,71 @@ def dd2(f: ScalarFunction, a: float, b: float, c: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _sorted_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index triples p <= q <= r of range(n), and for every (i, j, k) the
-    position of its sorted triple among them."""
+def _sorted_triples(n: int) -> tuple[np.ndarray, ...]:
+    """Index pairs i <= j and triples p <= q <= r of range(n), and for every
+    (i, j, k) the position of its sorted triple among the triples."""
+    i, j = np.triu_indices(n)
     triples = combinations_with_replacement(range(n), 3)
     p, q, r = np.array(list(triples), dtype=np.intp).T
     pos = np.empty((n, n, n), dtype=np.intp)
     for axes in permutations((p, q, r)):
         pos[axes] = np.arange(len(p))
-    for arr in (p, q, r, pos):
+    for arr in (i, j, p, q, r, pos):
         arr.setflags(write=False)
-    return p, q, r, pos
+    return i, j, p, q, r, pos
 
 
-def _dd_tables(f: ScalarFunction, nodes) -> tuple[np.ndarray, np.ndarray]:
-    """[dd1(f, t_i, t_j)] and [dd2(f, t_i, t_j, t_k)] over nodes.
+def _dd1_values(f: ScalarFunction, ti, tj, fi, fj, di) -> np.ndarray:
+    """dd1(f, t_i, t_j) over broadcast nodes, from f(t_i), f(t_j) and f'(t_i).
 
-    f and f' are evaluated once per node and the entries formed by broadcast
-    over the sorted nodes, with the scalar expressions in the same operation
-    order, so every entry equals dd1/dd2 bitwise.  A distinct triple uses the
-    partial-fraction form on its sorted nodes; an exactly tied pair {x, x}
-    with a distinct third node y takes (f'(x) - dd1(f, y, x)) / (x - y) from
-    the cached values.  Near-but-unequal pairs and triple coincidences, which
-    evaluate f' or f'' at new points, go to the scalar dd1/dd2.
+    The quotient of the cached values, f'(t_i) on an exact tie (where the
+    coincidence limit f'((t_i + t_j) / 2) is f'(t_i)), and the scalar dd1 on
+    near-but-unequal pairs, which need f' at a new point.
     """
-    t = np.asarray(nodes, dtype=np.float64)
-    order = np.argsort(t, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(t))
-    s = t[order]
-    sl = s.tolist()
-    fs = np.array([f(x) for x in sl])
-    ds = np.array([f.deriv(x) for x in sl])
-    near = _near_arrays(s[:, None], s)
-    # here the coincidence limit f'((x + y) / 2) is the cached f'(x)
-    tie = (s[:, None] == s) & (0.5 * (s + s) == s)[:, None]
+    tie = (ti == tj) & (0.5 * (ti + ti) == ti)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = np.where(tie, ds[:, None], (fs - fs[:, None]) / (s - s[:, None]))
-    for i, j in zip(*np.nonzero(np.triu(near & ~tie))):
-        d1[i, j] = d1[j, i] = dd1(f, sl[i], sl[j])
-    p, q, r, pos = _sorted_triples(len(t))
-    t1, t2, t3 = s[p], s[q], s[r]
-    low, high = near[p, q], near[q, r]
+        m = np.where(tie, di, (fj - fi) / (tj - ti))
+    near = _near_arrays(ti, tj) & ~tie
+    if near.any():
+        ti, tj = np.broadcast_arrays(ti, tj)
+        for k in map(tuple, np.argwhere(near)):
+            m[k] = dd1(f, float(ti[k]), float(tj[k]))
+    return m
+
+
+def _dd2_values(f: ScalarFunction, t1, t2, t3, f1, f2, f3, d_mid) -> np.ndarray:
+    """dd2(f, t1, t2, t3) over sorted triples t1 <= t2 <= t3, from f at the
+    three nodes and f' at the middle one.
+
+    A distinct triple takes the partial-fraction form.  Only the triples
+    with a near pair are gathered for the rest: a pair tied exactly at the
+    middle node x with a third node y takes (f'(x) - dd1(f, y, x)) / (x - y),
+    a triple coincidence f''/2 at the mean, and the other near triples go to
+    the scalar dd2.
+    """
+    low, high = _near_arrays(t1, t2), _near_arrays(t2, t3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d2 = (
-            fs[p] / ((t1 - t2) * (t1 - t3))
-            + fs[q] / ((t2 - t1) * (t2 - t3))
-            + fs[r] / ((t3 - t1) * (t3 - t2))
+        m = (
+            f1 / ((t1 - t2) * (t1 - t3))
+            + f2 / ((t2 - t1) * (t2 - t3))
+            + f3 / ((t3 - t1) * (t3 - t2))
         )
-        # (f'(x) - dd1(f, y, x)) / (x - y) for a tied pair {x, x} and a third
-        # node y; the other near pairs are redone by the scalar dd2 below
-        for pair, x, y in ((high, q, p), (low, p, r)):
-            m = np.nonzero(pair)[0]
-            x, y = x[m], y[m]
-            d2[m] = (ds[x] - d1[y, x]) / (s[x] - s[y])
-    for m in np.nonzero((low & (high | ~tie[p, q])) | (high & ~tie[q, r]))[0]:
-        d2[m] = dd2(f, sl[p[m]], sl[q[m]], sl[r[m]])
-    if np.any(order != np.arange(len(t))):
-        pos = pos[np.ix_(rank, rank, rank)]
-    return d1[rank[:, None], rank], d2.take(pos)
+    k = np.nonzero(low | high)
+    t1, t2, t3, f1, f2, f3, d_mid, low, high = (
+        v[k] for v in (t1, t2, t3, f1, f2, f3, d_mid, low, high)
+    )
+    # the middle node's near partner z and the third node y
+    z, y, fy = np.where(high, t3, t1), np.where(high, t1, t3), np.where(high, f1, f3)
+    tie = (low != high) & (z == t2) & (0.5 * (z + t2) == t2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lim = (d_mid - (f2 - fy) / (t2 - y)) / (t2 - y)
+    triple = low & high
+    mean = ((t1[triple] + t2[triple] + t3[triple]) / 3.0).tolist()
+    lim[triple] = [0.5 * f.deriv2(x) for x in mean]
+    for i in np.nonzero(~(tie | triple))[0]:
+        lim[i] = dd2(f, float(t1[i]), float(t2[i]), float(t3[i]))
+    m[k] = lim
+    return m
 
 
 def _node_values(g, ts: np.ndarray) -> np.ndarray:
@@ -167,18 +176,34 @@ def _node_values(g, ts: np.ndarray) -> np.ndarray:
     return np.array([g(x) for x in ts.ravel().tolist()]).reshape(ts.shape)
 
 
+def _dd_tables(f: ScalarFunction, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """[dd1(f, t_i, t_j)] and [dd2(f, t_i, t_j, t_k)] over nodes.
+
+    The nodes are sorted once; dd1 is formed once per unordered pair and dd2
+    once per sorted triple, then both are gathered back into node order.
+    """
+    t = np.asarray(nodes, dtype=np.float64)
+    n = len(t)
+    order = np.argsort(t, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    s = t[order]
+    fs, ds = _node_values(f, s), _node_values(f.deriv, s)
+    i, j, p, q, r, pos = _sorted_triples(n)
+    d1 = np.empty((n, n))
+    d1[i, j] = d1[j, i] = _dd1_values(f, s[i], s[j], fs[i], fs[j], ds[i])
+    d2 = _dd2_values(f, s[p], s[q], s[r], fs[p], fs[q], fs[r], ds[q])
+    if np.any(order != np.arange(n)):
+        pos = pos[np.ix_(rank, rank, rank)]
+    return d1[rank[:, None], rank], d2.take(pos)
+
+
 def _loewner_stack(f: ScalarFunction, ts: np.ndarray) -> np.ndarray:
     """[dd1(f, t_i, t_j)] for every row t of the (..., n) node array ts."""
     fs, ds = _node_values(f, ts), _node_values(f.deriv, ts)
-    ti, tj = ts[..., :, None], ts[..., None, :]
-    near = _near_arrays(ti, tj)
-    # here the coincidence limit f'((s + t) / 2) is the cached f'(t)
-    tie = (ti == tj) & (0.5 * (ti + ti) == ti)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.where(tie, ds[..., :, None], (fs[..., None, :] - fs[..., :, None]) / (tj - ti))
-    for *k, i, j in np.argwhere(near & ~tie):
-        m[(*k, i, j)] = dd1(f, float(ts[(*k, i)]), float(ts[(*k, j)]))
-    return m
+    return _dd1_values(
+        f, ts[..., :, None], ts[..., None, :], fs[..., :, None], fs[..., None, :], ds[..., :, None]
+    )
 
 
 def _anchored_stack(f: ScalarFunction, ts: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -186,11 +211,7 @@ def _anchored_stack(f: ScalarFunction, ts: np.ndarray, anchor: np.ndarray) -> np
     and its anchor a.
 
     Each row is sorted once; the sorted triple of entry (i, j) is read off
-    the ranks of t_i, t_j and a, so it equals the triple dd2 sorts.  A
-    distinct triple takes the partial-fraction form, an exactly tied pair
-    {x, x} with a third node y takes (f'(x) - dd1(f, y, x)) / (x - y) from
-    the cached values, and a triple coincidence f''/2 at the mean; the other
-    near pairs go to dd2.
+    the ranks of t_i, t_j and a, so it equals the triple dd2 sorts.
     """
     rows, n = ts.shape
     t = np.column_stack([ts, anchor])
@@ -203,30 +224,9 @@ def _anchored_stack(f: ScalarFunction, ts: np.ndarray, anchor: np.ndarray) -> np
     # flat positions in s of each entry's sorted triple
     row = (n + 1) * np.arange(rows)[:, None, None]
     pos = [row + k for k in (lo, ri + rj + ra - lo - hi, hi)]
-    fs = _node_values(f, s)
-    t1, t2, t3 = (s.ravel()[k] for k in pos)
-    f1, f2, f3 = (fs.ravel()[k] for k in pos)
-    d2 = _node_values(f.deriv, s).ravel()[pos[1]]
-    low, high = _near_arrays(t1, t2), _near_arrays(t2, t3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = (
-            f1 / ((t1 - t2) * (t1 - t3))
-            + f2 / ((t2 - t1) * (t2 - t3))
-            + f3 / ((t3 - t1) * (t3 - t2))
-        )
-        # (f'(x) - dd1(f, y, x)) / (x - y) for a tied pair {x, x} and a third node y
-        tie_high = high & ~low & (t2 == t3) & (0.5 * (t2 + t3) == t2)
-        m = np.where(tie_high, (d2 - (f2 - f1) / (t2 - t1)) / (t2 - t1), m)
-        tie_low = low & ~high & (t1 == t2) & (0.5 * (t1 + t2) == t2)
-        m = np.where(tie_low, (d2 - (f2 - f3) / (t2 - t3)) / (t2 - t3), m)
-    triple = low & high
-    if triple.any():
-        mean = ((t1[triple] + t2[triple] + t3[triple]) / 3.0).tolist()
-        m[triple] = [0.5 * f.deriv2(x) for x in mean]
-    for k in np.argwhere((low | high) & ~(triple | tie_low | tie_high)):
-        k = tuple(k)
-        m[k] = dd2(f, float(t1[k]), float(t2[k]), float(t3[k]))
-    return m
+    fs, ds = _node_values(f, s).ravel(), _node_values(f.deriv, s).ravel()
+    s = s.ravel()
+    return _dd2_values(f, *(s[k] for k in pos), *(fs[k] for k in pos), ds[pos[1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,12 +235,6 @@ class LoewnerMatrix:
 
     nodeset: NodeSet
     entries: np.ndarray
-
-    def as_hermitian(self) -> HermitianMatrix:
-        return HermitianMatrix(self.entries.astype(np.complex128))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
 
 
 def loewner_matrix(f: ScalarFunction, ns: NodeSet) -> LoewnerMatrix:

@@ -141,10 +141,6 @@ class HermitianMatrix:
         self._check_same_dim(other)
         return HermitianMatrix(self.entries - other.entries)
 
-    def scaled(self, c: float) -> "HermitianMatrix":
-        """Real scalar multiple (exact symmetry is preserved)."""
-        return HermitianMatrix(self.entries * float(c))
-
     def _check_same_dim(self, other):
         if not isinstance(other, HermitianMatrix):
             raise UsageError("expected a HermitianMatrix operand")
@@ -171,10 +167,6 @@ class EigenDecomposition:
 
     unitary: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)
-
-    def reconstruct(self) -> HermitianMatrix:
-        a = self.unitary @ np.diag(self.eigenvalues) @ self.unitary.conj().T
-        return HermitianMatrix(hermitian_part(a))
 
 
 def _eigh_checked(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

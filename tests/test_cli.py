@@ -187,6 +187,27 @@ def test_synth_then_fit_roundtrip(tmp_path, capsys):
     assert atoms[0]["w"] == pytest.approx(1.0, abs=1e-10)
 
 
+# --- sizes too large to allocate --------------------------------------------
+
+# 10**12 float64 values are 7.3 TiB: the first allocation is refused at once.
+HUGE = str(10**12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "MU", "--count", HUGE),
+    ("fit", "SAMPLES", "--grid-size", HUGE),
+    ("mean", f"geometric:{HUGE}", "A", "B"),
+])
+def test_unallocatable_sizes_are_usage_errors(tmp_path, capsys, argv):
+    files = {
+        "MU": write(tmp_path, "mu.json", '{"atoms": [{"lambda": 0.5, "w": 1.0}]}'),
+        "SAMPLES": write(tmp_path, "s.csv", "1,1\n2,1.5\n"),
+    }
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2
+    assert out == "" and err.startswith("error: out of memory")
+
+
 # --- mean ------------------------------------------------------------------
 
 def _matrix_csv(tmp_path, name, rows):
@@ -396,6 +417,13 @@ def test_report_unknown_criterion(capsys):
     code, _, err = run(capsys, "report", "--seed", "1", "--criteria", "bogus")
     assert code == 2
     assert "unknown criteria" in err
+
+
+@pytest.mark.parametrize("criteria", [",", " ", ""])
+def test_report_empty_criteria_is_usage_error(capsys, criteria):
+    code, out, err = run(capsys, "report", "--seed", "1", "--criteria", criteria)
+    assert code == 2
+    assert out == "" and "names no criterion" in err
 
 
 def test_report_requires_seed():
