@@ -20,9 +20,9 @@ from ._version import __version__
 from .calculus import affine_path, apply_function, path_derivative, path_second_derivative
 from .choquet import GridFunction, caratheodory_decompose, concave_envelope, is_concave_grid
 from .connections import (
+    _connection_stack,
+    _geometric_mean_stack,
     arithmetic_spec,
-    evaluate_connection,
-    geometric_mean_closed_form,
     geometric_spec,
     harmonic_spec,
 )
@@ -41,11 +41,13 @@ from .hermitian import (
     HermitianMatrix,
     Interval,
     PSD_TOL,
+    _build_hermitian,
+    _build_ordered_pairs,
+    _draw_hermitian,
+    _draw_ordered_pair,
     hermitian_part,
-    identity,
     min_eig_scaled,
     random_hermitian,
-    random_ordered_pair,
 )
 from .measures import (
     RadonMeasure01,
@@ -73,8 +75,10 @@ def _rng(cfg: RunConfig, *tags: int) -> np.random.Generator:
     return np.random.default_rng((cfg.seed,) + tags)
 
 
-def _specnorm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
+def _specnorm(m: np.ndarray):
+    """Spectral norm: a float for one matrix, an array for a (k, n, n) stack."""
+    out = np.linalg.norm(m, 2, axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def _p1_members() -> list:
@@ -354,8 +358,32 @@ def crit_representation(cfg: RunConfig):
 # 8. Connection axioms and the geometric-mean cross-check
 
 
-def _plus_eps(a: HermitianMatrix, eps: float) -> HermitianMatrix:
-    return HermitianMatrix(a.entries + eps * identity(a.dim).entries)
+def _draws_by_order(cfg: RunConfig, tags: tuple, trials: int, n_lo: int, draw) -> dict:
+    """Each trial's draws from its own substream, grouped by its order n.
+
+    Trial t draws n = integers(n_lo, 5) and then draw(n, rng).  Returns
+    {n: stacked draws}, trials in order within each group.
+    """
+    groups = {}
+    for t in range(trials):
+        rng = _rng(cfg, *tags, t)
+        n = int(rng.integers(n_lo, 5))
+        groups.setdefault(n, []).append(draw(n, rng))
+    return {n: [np.array(x) for x in zip(*ds)] for n, ds in sorted(groups.items())}
+
+
+def _kubo_ando_draw(n: int, rng) -> tuple:
+    """The draws of one trial: the pairs A <= A2 and B <= B2, then C."""
+    return (
+        _draw_ordered_pair(n, IV_PAIRS, rng)
+        + _draw_ordered_pair(n, IV_PAIRS, rng)
+        + _draw_hermitian(n, Interval(0.3, 2.0), rng)
+    )
+
+
+def _geometric_draw(n: int, rng) -> tuple:
+    """The draws of one geometric cross-check trial: A, then B."""
+    return _draw_hermitian(n, IV_PAIRS, rng) + _draw_hermitian(n, IV_PAIRS, rng)
 
 
 def _half_line_representing(mu: RadonMeasure01, x: float) -> float:
@@ -368,6 +396,10 @@ def _half_line_representing(mu: RadonMeasure01, x: float) -> float:
 
 
 def crit_kubo_ando(cfg: RunConfig):
+    """Monotonicity, the transformer inequality and the downward limit of
+    each connection, then the quadrature geometric mean against the closed
+    form.  Trials are drawn one by one and evaluated as (trials, n, n)
+    stacks, one stack per order and operand role."""
     specs = [
         ("arithmetic", arithmetic_spec()),
         ("harmonic", harmonic_spec()),
@@ -380,54 +412,48 @@ def crit_kubo_ando(cfg: RunConfig):
     worst_chain = math.inf
     worst_limit = 0.0
     for si, (name, spec) in enumerate(specs):
-        for t in range(trials):
-            rng = _rng(cfg, 108, si, t)
-            n = int(rng.integers(1, 5))
+        groups = _draws_by_order(cfg, (108, si), trials, 1, _kubo_ando_draw)
+        for n, d in groups.items():
+            a, a2 = _build_ordered_pairs(IV_PAIRS, *d[0:4])
+            b, b2 = _build_ordered_pairs(IV_PAIRS, *d[4:8])
+            c = _build_hermitian(*d[8:10])
+            lo = _connection_stack(spec, a, b)
+            hi = _connection_stack(spec, a2, b2)
+            worst_mono = min(worst_mono, float(min_eig_scaled(hi - lo).min()))
 
-            a, a2 = random_ordered_pair(n, IV_PAIRS, rng)
-            b, b2 = random_ordered_pair(n, IV_PAIRS, rng)
-            lo = evaluate_connection(spec, a, b)
-            hi = evaluate_connection(spec, a2, b2)
-            worst_mono = min(worst_mono, min_eig_scaled(hi.entries - lo.entries))
-
-            c = random_hermitian(n, Interval(0.3, 2.0), rng)
-            lhs = hermitian_part(c.entries @ lo.entries @ c.entries)
-            cac = HermitianMatrix(hermitian_part(c.entries @ a.entries @ c.entries))
-            cbc = HermitianMatrix(hermitian_part(c.entries @ b.entries @ c.entries))
-            rhs = evaluate_connection(spec, cac, cbc).entries
-            worst_transformer = max(
-                worst_transformer, _specnorm(lhs - rhs) / max(1.0, _specnorm(rhs))
+            lhs = hermitian_part(c @ lo @ c)
+            rhs = _connection_stack(
+                spec, hermitian_part(c @ a @ c), hermitian_part(c @ b @ c)
             )
+            err = _specnorm(lhs - rhs) / np.maximum(1.0, _specnorm(rhs))
+            worst_transformer = max(worst_transformer, float(err.max()))
 
+            eye = np.eye(n, dtype=np.complex128)
             prev = None
-            last_eps = None
             for k in (1, 2, 4, 8, 16):
                 eps = 1.0 / k
-                cur = evaluate_connection(spec, _plus_eps(a, eps), _plus_eps(b, eps))
-                worst_chain = min(worst_chain, min_eig_scaled(cur.entries - lo.entries))
+                cur = _connection_stack(spec, a + eps * eye, b + eps * eye)
+                worst_chain = min(worst_chain, float(min_eig_scaled(cur - lo).min()))
                 if prev is not None:
-                    worst_chain = min(
-                        worst_chain, min_eig_scaled(prev.entries - cur.entries)
-                    )
-                prev, last_eps = cur, eps
-            delta = min(
-                float(np.linalg.eigvalsh(a.entries)[0]),
-                float(np.linalg.eigvalsh(b.entries)[0]),
+                    worst_chain = min(worst_chain, float(min_eig_scaled(prev - cur).min()))
+                prev = cur
+            delta = np.minimum(
+                np.linalg.eigvalsh(a)[:, 0], np.linalg.eigvalsh(b)[:, 0]
             )
-            bound = (last_eps / delta) * _specnorm(lo.entries) * (1.0 + 1e-6) + 1e-9
-            gap = _specnorm(prev.entries - lo.entries)
-            worst_limit = max(worst_limit, gap / bound)
+            # eps and prev are now the smallest shift, 1/16, and its connection
+            bound = (eps / delta) * _specnorm(lo) * (1.0 + 1e-6) + 1e-9
+            gap = _specnorm(prev - lo)
+            worst_limit = max(worst_limit, float((gap / bound).max()))
 
     geo = geometric_spec(200)
     worst_geo = 0.0
-    for t in range(20):
-        rng = _rng(cfg, 108, 9, t)
-        n = int(rng.integers(2, 5))
-        a = random_hermitian(n, IV_PAIRS, rng)
-        b = random_hermitian(n, IV_PAIRS, rng)
-        quad = evaluate_connection(geo, a, b).entries
-        closed = geometric_mean_closed_form(a, b).entries
-        worst_geo = max(worst_geo, _specnorm(quad - closed) / _specnorm(closed))
+    pairs = _draws_by_order(cfg, (108, 9), 20, 2, _geometric_draw)
+    for lam_a, z_a, lam_b, z_b in pairs.values():
+        a, b = _build_hermitian(lam_a, z_a), _build_hermitian(lam_b, z_b)
+        quad = _connection_stack(geo, a, b)
+        closed = _geometric_mean_stack(a, b)
+        err = _specnorm(quad - closed) / _specnorm(closed)
+        worst_geo = max(worst_geo, float(err.max()))
 
     worst_rep = 0.0
     xs = np.geomspace(1e-2, 1e2, 50)

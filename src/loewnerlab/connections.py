@@ -14,15 +14,21 @@ the geometric mean, whose measure dlam / (pi sqrt(lam(1-lam))) is uniform in
 the angle of lam = sin^2(theta) and is discretized there by a midpoint rule,
 which converges at fourth order.
 
-Each operand is eigendecomposed once: the decomposition carries both the
-positive-definiteness and condition-number guards and the inverse
-U diag(1/lam) U*.  The interior atoms then take one batched eigh of the
-stack (1-lam) A^-1 + lam B^-1.  The route is the parallel sum and not the
-congruence A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2), although congruence needs
-no per-atom solve: with cond(A) = cond(B) = 1e8 in different bases,
-congruence is off by up to 2.6e-4 relative against a 50-digit parallel sum,
-where the parallel sums stay within 1.9e-10 (the instability analysed by
-Iannazzo, Numer. Linear Algebra Appl. 23, 2016).
+One kernel, _connection_stack, evaluates the connection on a whole
+(k, n, n) stack of operand pairs; evaluate_connection is its one-row call,
+and row i of a stack equals the connection of pair i bit for bit.  Each
+operand stack takes one checked eigh, which carries the positive-
+definiteness, condition-number and inverse-overflow guards of every slice
+and the inverses U diag(1/lam) U*.  The interior atoms then take one
+batched eigh of the (k, atoms, n, n) stack (1-lam) A^-1 + lam B^-1.  The
+closed-form geometric mean is stacked the same way.
+
+The route is the parallel sum and not the congruence
+A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2), although congruence needs no
+per-atom solve: with cond(A) = cond(B) = 1e8 in different bases, congruence
+is off by up to 2.6e-4 relative against a 50-digit parallel sum, where the
+parallel sums stay within 1.9e-10 (the instability analysed by Iannazzo,
+Numer. Linear Algebra Appl. 23, 2016).
 """
 
 from __future__ import annotations
@@ -32,11 +38,20 @@ import math
 import numpy as np
 
 from .errors import NumericalFailure, UsageError
-from .hermitian import HermitianMatrix, eigendecompose, hermitian_part
+from .hermitian import (
+    HermitianMatrix,
+    _adjoint,
+    _eigh_checked,
+    _require_hermitian,
+    hermitian_part,
+)
 from .measures import RadonMeasure01
 
 #: Refuse reciprocal-eigenvalue inversion beyond this condition number.
 CONDITION_CAP = 1e12
+
+#: Below this smallest eigenvalue, U diag(1/lam) U* can overflow.
+_INVERSE_FLOOR = 2.0 / np.finfo(np.float64).max
 
 
 def arithmetic_spec() -> RadonMeasure01:
@@ -63,28 +78,70 @@ def geometric_spec(n_nodes: int = 200) -> RadonMeasure01:
     return RadonMeasure01(atoms=tuple((float(lk), w) for lk in lam))
 
 
-def _pd_eigendecompose(a: HermitianMatrix, label: str, not_pd=UsageError):
-    """Guarded decomposition of a positive definite matrix.
+def _pd_eigh(entries: np.ndarray, label: str, not_pd=UsageError, inverts=False):
+    """Checked eigh of a (k, n, n) stack that must be positive definite.
 
-    not_pd is raised when the smallest eigenvalue is not positive: UsageError
-    for an operand, NumericalFailure for a matrix that is positive definite
-    in exact arithmetic.
+    The first failing slice raises, with the checks in this order: not_pd
+    when its smallest eigenvalue is not positive (UsageError for an operand,
+    NumericalFailure for a matrix that is positive definite in exact
+    arithmetic), NumericalFailure when its condition number exceeds
+    CONDITION_CAP, and, if inverts, NumericalFailure when U diag(1/lam) U*
+    would overflow.
     """
-    dec = eigendecompose(a)
-    lam = dec.eigenvalues
-    if not lam[0] > 0.0:
-        raise not_pd(f"{label} must be positive definite (min eig {lam[0]:.3e})")
-    if lam[-1] / lam[0] > CONDITION_CAP:
-        raise NumericalFailure(
-            f"{label} too ill-conditioned to invert: cond = {lam[-1] / lam[0]:.3e}"
-        )
-    return dec
+    lam, u = _eigh_checked(entries)
+    lo, hi = lam[:, 0], lam[:, -1]
+    cond = hi / np.where(lo > 0.0, lo, np.inf)
+    bad = ~(lo > 0.0) | (cond > CONDITION_CAP)
+    if inverts:
+        bad |= lo < _INVERSE_FLOOR
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not lo[k] > 0.0:
+            raise not_pd(f"{label} must be positive definite (min eig {lo[k]:.3e})")
+        if cond[k] > CONDITION_CAP:
+            raise NumericalFailure(
+                f"{label} too ill-conditioned to invert: cond = {cond[k]:.3e}"
+            )
+        raise NumericalFailure(f"{label}: inverse overflows (min eig {lo[k]:.3e})")
+    return lam, u
 
 
-def _inverse(dec) -> np.ndarray:
-    """U diag(1/lam) U*, made exactly Hermitian."""
-    u = dec.unitary
-    return hermitian_part((u / dec.eigenvalues) @ u.conj().T)
+def _inverse(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U diag(1/lam) U* over a stack, made exactly Hermitian."""
+    return hermitian_part((u / lam[..., None, :]) @ _adjoint(u))
+
+
+def _connection_stack(mu: RadonMeasure01, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The connection of mu on every slice pair of two (k, n, n) stacks.
+
+    a and b must be exactly Hermitian (checked).  Each operand stack takes
+    one checked eigh; the interior atoms take one eigh of the (k, atoms, n, n)
+    stack (1-lam) A^-1 + lam B^-1.  Row i equals the connection of the pair
+    (a[i], b[i]) bit for bit, whatever the height of the stack.
+    """
+    _require_hermitian(a)
+    _require_hermitian(b)
+    inner = [(lam, w) for lam, w in mu.atoms if 0.0 < lam < 1.0]
+    lam_a, u_a = _pd_eigh(a, "left operand", inverts=bool(inner))
+    lam_b, u_b = _pd_eigh(b, "right operand", inverts=bool(inner))
+    acc = mu.alpha * a + mu.beta * b
+    if inner:
+        lam = np.array([lk for lk, _ in inner])[:, None, None]
+        w = np.array([wk for _, wk in inner], dtype=np.complex128)
+        inv_a, inv_b = _inverse(lam_a, u_a)[:, None], _inverse(lam_b, u_b)[:, None]
+        stack = (1.0 - lam) * inv_a + lam * inv_b
+        try:
+            ev, u = np.linalg.eigh(stack)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"batched eigendecomposition failed: {exc}") from exc
+        if not ev.min() > 0.0:
+            raise NumericalFailure("parallel-sum stack lost positive definiteness")
+        if (ev.max(axis=-1) / ev.min(axis=-1)).max() > CONDITION_CAP:
+            raise NumericalFailure("parallel-sum stack too ill-conditioned to invert")
+        inv = (u / ev[..., None, :]) @ _adjoint(u)
+        k, m, n = inv.shape[:3]
+        acc = acc + (w @ inv.reshape(k, m, n * n)).reshape(k, n, n)
+    return hermitian_part(acc)
 
 
 def evaluate_connection(
@@ -92,25 +149,21 @@ def evaluate_connection(
 ) -> HermitianMatrix:
     """Apply the connection of mu to a positive definite pair."""
     a._check_same_dim(b)
-    dec_a = _pd_eigendecompose(a, "left operand")
-    dec_b = _pd_eigendecompose(b, "right operand")
-    acc = mu.alpha * a.entries + mu.beta * b.entries
-    inner = [(lam, w) for lam, w in mu.atoms if 0.0 < lam < 1.0]
-    if inner:
-        lam = np.array([lk for lk, _ in inner])[:, None, None]
-        w = np.array([wk for _, wk in inner])
-        stack = (1.0 - lam) * _inverse(dec_a) + lam * _inverse(dec_b)
-        try:
-            ev, u = np.linalg.eigh(stack)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"batched eigendecomposition failed: {exc}") from exc
-        if not ev.min() > 0.0:
-            raise NumericalFailure("parallel-sum stack lost positive definiteness")
-        if (ev.max(axis=1) / ev.min(axis=1)).max() > CONDITION_CAP:
-            raise NumericalFailure("parallel-sum stack too ill-conditioned to invert")
-        inv = (u / ev[:, None, :]) @ np.conjugate(np.swapaxes(u, 1, 2))
-        acc = acc + np.tensordot(w, inv, axes=(0, 0))
-    return HermitianMatrix(hermitian_part(acc))
+    return HermitianMatrix(_connection_stack(mu, a.entries[None], b.entries[None])[0])
+
+
+def _geometric_mean_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The closed-form geometric mean on every slice pair of two stacks."""
+    _pd_eigh(b, "right operand")
+    lam, u = _pd_eigh(a, "left operand")
+    s = np.sqrt(lam)[..., None, :]
+    root = hermitian_part((u * s) @ _adjoint(u))
+    root_inv = hermitian_part((u / s) @ _adjoint(u))
+    inner = hermitian_part(root_inv @ b @ root_inv)
+    _require_hermitian(inner)
+    lam_i, v = _pd_eigh(inner, "A^-1/2 B A^-1/2", not_pd=NumericalFailure)
+    mid = hermitian_part((v * np.sqrt(lam_i)[..., None, :]) @ _adjoint(v))
+    return hermitian_part(root @ mid @ root)
 
 
 def geometric_mean_closed_form(
@@ -124,13 +177,4 @@ def geometric_mean_closed_form(
     NumericalFailure, not a usage error.
     """
     a._check_same_dim(b)
-    _pd_eigendecompose(b, "right operand")
-    dec_a = _pd_eigendecompose(a, "left operand")
-    u, s = dec_a.unitary, np.sqrt(dec_a.eigenvalues)
-    root = hermitian_part((u * s) @ u.conj().T)
-    root_inv = hermitian_part((u / s) @ u.conj().T)
-    inner = HermitianMatrix(hermitian_part(root_inv @ b.entries @ root_inv))
-    dec_i = _pd_eigendecompose(inner, "A^-1/2 B A^-1/2", not_pd=NumericalFailure)
-    v = dec_i.unitary
-    mid = hermitian_part((v * np.sqrt(dec_i.eigenvalues)) @ v.conj().T)
-    return HermitianMatrix(hermitian_part(root @ mid @ root))
+    return HermitianMatrix(_geometric_mean_stack(a.entries[None], b.entries[None])[0])

@@ -76,11 +76,14 @@ POSITIVE_AXIS = Interval(0.0, math.inf)
 
 
 def hermitian_part(arr: np.ndarray) -> np.ndarray:
-    """(M + M*)/2; bitwise conjugate-symmetric thanks to commutative adds.
+    """M/2 + (M/2)*; bitwise conjugate-symmetric thanks to commutative adds.
 
-    Works on stacks: the adjoint is taken over the last two axes.
+    Halving before adding keeps entries up to the float maximum finite, and
+    equals (M + M*)/2 except where a half underflows.  Works on stacks: the
+    adjoint is taken over the last two axes.
     """
-    return (arr + _adjoint(arr)) / 2
+    half = arr * 0.5
+    return half + _adjoint(half)
 
 
 def _adjoint(arr: np.ndarray) -> np.ndarray:

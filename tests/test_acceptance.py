@@ -5,9 +5,32 @@ criterion.  The same checks back `loewnerlab report --seed N` on the command
 line; seed 1234 is the reference configuration.
 """
 
+import json
+import math
+
+import numpy as np
 import pytest
 
+from loewnerlab import acceptance as acc
 from loewnerlab.acceptance import CRITERIA, criterion_names, run_acceptance, run_criterion
+from loewnerlab.connections import (
+    arithmetic_spec,
+    evaluate_connection,
+    geometric_mean_closed_form,
+    geometric_spec,
+    harmonic_spec,
+)
+from loewnerlab.hermitian import (
+    PSD_TOL,
+    HermitianMatrix,
+    Interval,
+    hermitian_part,
+    identity,
+    min_eig_scaled,
+    random_hermitian,
+    random_ordered_pair,
+)
+from loewnerlab.measures import synthesize
 from loewnerlab.report import RunConfig
 
 GATE_SEED = 1234
@@ -30,3 +53,142 @@ def test_full_report_passes_and_counts_every_criterion():
     report = run_acceptance(RunConfig(seed=GATE_SEED, trials=2))
     assert report.passed
     assert [r.name for r in report.records] == criterion_names()
+
+
+# ---------------------------------------------------------------------------
+# kubo_ando_axioms against its per-trial reference
+#
+# The reference evaluates every trial on its own, one connection call per
+# operand pair, as the criterion did before it was stacked by order.  The
+# stacked criterion must give the same evidence, float for float.
+
+
+def _ref_kubo_ando(cfg):
+    specs = [
+        ("arithmetic", arithmetic_spec()),
+        ("harmonic", harmonic_spec()),
+        ("geometric", geometric_spec(200)),
+    ]
+    trials = cfg.loop(100)
+    tol = cfg.tol if cfg.tol is not None else PSD_TOL
+    worst_mono = math.inf
+    worst_transformer = 0.0
+    worst_chain = math.inf
+    worst_limit = 0.0
+    for si, (name, spec) in enumerate(specs):
+        for t in range(trials):
+            rng = acc._rng(cfg, 108, si, t)
+            n = int(rng.integers(1, 5))
+
+            a, a2 = random_ordered_pair(n, acc.IV_PAIRS, rng)
+            b, b2 = random_ordered_pair(n, acc.IV_PAIRS, rng)
+            lo = evaluate_connection(spec, a, b)
+            hi = evaluate_connection(spec, a2, b2)
+            worst_mono = min(worst_mono, min_eig_scaled(hi.entries - lo.entries))
+
+            c = random_hermitian(n, Interval(0.3, 2.0), rng)
+            lhs = hermitian_part(c.entries @ lo.entries @ c.entries)
+            cac = HermitianMatrix(hermitian_part(c.entries @ a.entries @ c.entries))
+            cbc = HermitianMatrix(hermitian_part(c.entries @ b.entries @ c.entries))
+            rhs = evaluate_connection(spec, cac, cbc).entries
+            worst_transformer = max(
+                worst_transformer, _specnorm(lhs - rhs) / max(1.0, _specnorm(rhs))
+            )
+
+            prev = None
+            last_eps = None
+            for k in (1, 2, 4, 8, 16):
+                eps = 1.0 / k
+                cur = evaluate_connection(spec, _plus_eps(a, eps), _plus_eps(b, eps))
+                worst_chain = min(worst_chain, min_eig_scaled(cur.entries - lo.entries))
+                if prev is not None:
+                    worst_chain = min(
+                        worst_chain, min_eig_scaled(prev.entries - cur.entries)
+                    )
+                prev, last_eps = cur, eps
+            delta = min(
+                float(np.linalg.eigvalsh(a.entries)[0]),
+                float(np.linalg.eigvalsh(b.entries)[0]),
+            )
+            bound = (last_eps / delta) * _specnorm(lo.entries) * (1.0 + 1e-6) + 1e-9
+            gap = _specnorm(prev.entries - lo.entries)
+            worst_limit = max(worst_limit, gap / bound)
+
+    geo = geometric_spec(200)
+    worst_geo = 0.0
+    for t in range(20):
+        rng = acc._rng(cfg, 108, 9, t)
+        n = int(rng.integers(2, 5))
+        a = random_hermitian(n, acc.IV_PAIRS, rng)
+        b = random_hermitian(n, acc.IV_PAIRS, rng)
+        quad = evaluate_connection(geo, a, b).entries
+        closed = geometric_mean_closed_form(a, b).entries
+        worst_geo = max(worst_geo, _specnorm(quad - closed) / _specnorm(closed))
+
+    worst_rep = 0.0
+    xs = np.geomspace(1e-2, 1e2, 50)
+    for name, spec in specs:
+        g_kernel = synthesize(spec)
+        for x in xs:
+            v1, v2 = acc._half_line_representing(spec, float(x)), g_kernel(float(x))
+            worst_rep = max(worst_rep, abs(v1 - v2) / max(1.0, abs(v1)))
+
+    ok = (
+        worst_mono >= -tol
+        and worst_transformer <= 1e-8
+        and worst_chain >= -tol
+        and worst_limit <= 1.0
+        and worst_geo <= 1e-6
+        and worst_rep <= 1e-12
+    )
+    ev = {
+        "specs": [s[0] for s in specs],
+        "trials_each": trials,
+        "max_order": 4,
+        "worst_monotonicity_min_eig": worst_mono,
+        "worst_transformer_rel_err": worst_transformer,
+        "worst_downward_chain_min_eig": worst_chain,
+        "worst_limit_gap_over_bound": worst_limit,
+        "geometric_vs_closed_rel_err": worst_geo,
+        "representing_vs_kernel_err": worst_rep,
+        "bounds": {"transformer": 1e-8, "geometric": 1e-6, "representing": 1e-12},
+    }
+    return ok, ev
+
+
+def _specnorm(m):
+    return float(np.linalg.norm(m, 2))
+
+
+def _plus_eps(a, eps):
+    return HermitianMatrix(a.entries + eps * identity(a.dim).entries)
+
+
+@pytest.mark.parametrize("seed,trials", [(0, 3), (1, 3), (1234, 3), (1234, None)],
+                         ids=["0-3", "1-3", "1234-3", "1234-full"])
+def test_stacked_kubo_ando_equals_per_trial_reference(seed, trials):
+    cfg = RunConfig(seed=seed, trials=trials)
+    ok, ev = acc.crit_kubo_ando(cfg)
+    ref_ok, ref_ev = _ref_kubo_ando(cfg)
+    assert ok == ref_ok
+    assert json.dumps(ev, sort_keys=True) == json.dumps(ref_ev, sort_keys=True)
+
+
+def test_kubo_ando_stack_calls_do_not_grow_with_trials(monkeypatch):
+    # seed 18 draws every order 1-4 within the first five trials of each
+    # spec, so both runs stack the same (spec, order) groups: 3 specs x 4
+    # orders x 8 roles (lo, hi, CBC-side pair, five eps-shifts), plus one
+    # call per order 2-4 of the geometric cross-check
+    heights = []
+    stack = acc._connection_stack
+
+    def counted(mu, a, b):
+        heights.append(a.shape[0])
+        return stack(mu, a, b)
+
+    monkeypatch.setattr(acc, "_connection_stack", counted)
+    for trials in (5, 100):
+        heights.clear()
+        acc.crit_kubo_ando(RunConfig(seed=18, trials=trials))
+        assert len(heights) == 3 * 4 * 8 + 3
+        assert sum(heights) == 3 * 8 * trials + 20  # every trial in one row per role

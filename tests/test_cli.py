@@ -289,6 +289,28 @@ def test_mean_condition_cap_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_mean_accepts_entries_near_the_float_maximum(tmp_path, capsys):
+    rows = [[1e308, 0.0], [0.0, 1.5e308]]
+    a = _matrix_csv(tmp_path, "big.csv", rows)
+    code, out, err = run(capsys, "mean", "arithmetic", a, a)
+    assert code == 0 and err == ""
+    got = np.array(json.loads(out)["entries"])
+    assert np.array_equal(got[:, :, 0], rows) and not got[:, :, 1].any()
+
+
+@pytest.mark.parametrize("spec", ["harmonic", "geometric"])
+def test_mean_inverse_overflow_names_the_operand(tmp_path, capsys, recwarn, spec):
+    tiny = _matrix_csv(tmp_path, "tiny.csv", [[1e-310, 0.0], [0.0, 2e-310]])
+    one = _matrix_csv(tmp_path, "one.csv", [[1.0, 0.0], [0.0, 1.0]])
+    code, out, err = run(capsys, "mean", spec, tiny, one)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: left operand: inverse overflows")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    # the arithmetic mean has no interior atom and needs no inverse
+    code, _, err = run(capsys, "mean", "arithmetic", tiny, one)
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("command", ["synth", "mean"])
 @pytest.mark.parametrize(
     "text, key",

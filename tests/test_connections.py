@@ -220,14 +220,15 @@ def test_condition_cap_raises_numerical_failure():
 
 
 def _counting_eigendecompose(monkeypatch):
+    """Record the order of every checked eigh that connections makes."""
     calls = []
-    orig = connections.eigendecompose
+    orig = connections._eigh_checked
 
-    def counted(a):
-        calls.append(a.dim)
-        return orig(a)
+    def counted(entries):
+        calls.append(entries.shape[-1])
+        return orig(entries)
 
-    monkeypatch.setattr(connections, "eigendecompose", counted)
+    monkeypatch.setattr(connections, "_eigh_checked", counted)
     return calls
 
 
@@ -311,3 +312,82 @@ def test_parallel_sums_stay_accurate_near_the_cap(seed):
         assert np.linalg.norm(got - ref, 2) <= 1e-8 * np.linalg.norm(ref, 2)
     with pytest.raises(NumericalFailure):
         geometric_mean_closed_form(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The stack kernel: evaluate_connection is its one-row call
+
+
+def _fitted_sqrt_measure():
+    f = get_function("sqrt")
+    samples = [(float(t), f(float(t))) for t in np.geomspace(1e-3, 1e3, 60)]
+    return fit_measure(samples, default_lambda_grid(200))[0]
+
+
+def _pd_stacks(seed, k, n):
+    rng = np.random.default_rng(seed)
+    pairs = [_pd_pair(rng, n) for _ in range(k)]
+    return tuple(np.array([p[i].entries for p in pairs]) for i in (0, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stack_rows_equal_evaluate_connection(n):
+    a, b = _pd_stacks(60 + n, 6, n)
+    pairs = [(_herm(x), _herm(y)) for x, y in zip(a, b)]
+    for mu in (arithmetic_spec(), harmonic_spec(), geometric_spec(200),
+               _fitted_sqrt_measure()):
+        rows = connections._connection_stack(mu, a, b)
+        assert rows.shape == a.shape
+        for row, (x, y) in zip(rows, pairs):
+            assert row.tobytes() == evaluate_connection(mu, x, y).entries.tobytes()
+    closed = connections._geometric_mean_stack(a, b)
+    for row, (x, y) in zip(closed, pairs):
+        assert row.tobytes() == geometric_mean_closed_form(x, y).entries.tobytes()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_stack_guards_name_the_operand_of_one_bad_slice(side):
+    a, b = _pd_stacks(70, 5, 2)
+    for bad, error in ((np.diag([1.0, -1.0]), UsageError),
+                       (np.diag([1.0, 10.0 * CONDITION_CAP]), NumericalFailure)):
+        x, y = a.copy(), b.copy()
+        (x if side == "left" else y)[3] = bad
+        for mu in (arithmetic_spec(), harmonic_spec(), geometric_spec(8)):
+            with pytest.raises(error, match=f"{side} operand"):
+                connections._connection_stack(mu, x, y)
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_stack_calls_decompose_each_operand_stack_once(monkeypatch, k):
+    a, b = _pd_stacks(80, k, 3)
+    calls = _counting_eigendecompose(monkeypatch)
+    connections._connection_stack(geometric_spec(50), a, b)
+    assert calls == [3, 3]
+    calls.clear()
+    connections._geometric_mean_stack(a, b)
+    assert calls == [3, 3, 3]
+
+
+def test_parallel_sums_stay_accurate_near_the_cap_as_one_stack():
+    spectrum = np.geomspace(1.0, 1e8, 4)
+    pairs = [_pair_in_bases(seed, spectrum, spectrum) for seed in range(6)]
+    a = np.array([p[0].entries for p in pairs])
+    b = np.array([p[1].entries for p in pairs])
+    for mu in (harmonic_spec(), geometric_spec(50)):
+        rows = connections._connection_stack(mu, a, b)
+        for (pa, pb), got in zip(pairs, rows):
+            ref = _mp_connection(mu, pa, pb)
+            assert np.linalg.norm(got - ref, 2) <= 1e-8 * np.linalg.norm(ref, 2)
+
+
+def test_inverse_overflow_is_a_numerical_failure_naming_the_operand():
+    tiny = _herm(np.diag([1e-310, 2e-310]))
+    one = _herm(np.eye(2))
+    for mu in (harmonic_spec(), geometric_spec(8)):
+        with pytest.raises(NumericalFailure, match="left operand: inverse overflows"):
+            evaluate_connection(mu, tiny, one)
+        with pytest.raises(NumericalFailure, match="right operand: inverse overflows"):
+            evaluate_connection(mu, one, tiny)
+    # no interior atom, no inverse
+    out = evaluate_connection(arithmetic_spec(), tiny, one).entries
+    assert np.all(np.isfinite(out))

@@ -48,6 +48,27 @@ def test_hermitian_part_is_bitwise_hermitian():
     assert np.array_equal(h, h.conj().T)
 
 
+def test_hermitian_part_equals_the_sum_halved_in_normal_range():
+    # halving first only differs from (M + M*)/2 where a half underflows
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-100, 100, (3, 4, 4))
+        z = (rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))) * scale
+        old = (z + z.conj().swapaxes(-1, -2)) / 2
+        assert hermitian_part(z).tobytes() == old.tobytes()
+        real = z.real.astype(np.complex128)  # what real-valued input files give
+        old_real = (real + real.conj().swapaxes(-1, -2)) / 2
+        assert hermitian_part(real).tobytes() == old_real.tobytes()
+        assert hermitian_part(z.real).tobytes() == old.real.tobytes()
+
+
+def test_hermitian_part_keeps_huge_entries_finite():
+    z = np.array([[1e308, 1.7e308 + 1e308j], [1.7e308 - 1e308j, 1.5e308]])
+    h = hermitian_part(z)
+    assert np.array_equal(h, z)
+    assert np.array_equal(h, h.conj().T)
+
+
 def test_constructor_rejects_non_hermitian():
     with pytest.raises(UsageError):
         HermitianMatrix(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))
