@@ -80,8 +80,6 @@ from .monotonicity import (
     check_monotone_order_n,
     extreme_decomposition,
     transform_involution,
-    transform_neg_reciprocal,
-    transform_quotient,
 )
 from .report import CheckRecord, Report, RunConfig
 from .acceptance import CRITERIA, run_acceptance
@@ -147,6 +145,4 @@ __all__ = [
     "standard_mollifier",
     "synthesize",
     "transform_involution",
-    "transform_neg_reciprocal",
-    "transform_quotient",
 ]

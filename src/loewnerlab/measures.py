@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import NumericalFailure, UsageError
 from .functions import OPERATOR_MONOTONE, ScalarFunction, kernel01, kernel01_d1, kernel01_d2
@@ -239,6 +238,8 @@ def fit_measure(
     ts = np.array([t for t, _ in samples])
     ys = np.array([y for _, y in samples])
     k = kernel01(grid[None, :], ts[:, None])
+
+    from scipy.optimize import nnls
 
     try:
         if mass_constraint is None:

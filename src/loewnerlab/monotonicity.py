@@ -18,8 +18,8 @@ NumericalFailure naming the first such trial.  min_eig_seen records the
 smallest scale-normalized eigenvalue, min over trials of
 min_eig / max(1, ||M||); the witness is the first failing trial.
 
-The module also hosts the function transformations that preserve operator
-monotonicity (-f(t)/t, t/f(t), t*f(1/t)), the normalized-derivative reading
+The module also hosts the involution t -> t*f(1/t), which preserves operator
+monotonicity, the normalized-derivative reading
 f'(1) for functions with f(1) = 1, and the two-extreme-point decomposition
 f = w*f1 + (1-w)*f2 with w = f'(1).
 """
@@ -241,58 +241,6 @@ def _require_positive_on_domain(f: ScalarFunction):
             raise UsageError(
                 f"{f.name} is not positive on its domain (f({x:.6g}) = {f(x):.6g})"
             )
-
-
-def transform_neg_reciprocal(f: ScalarFunction) -> ScalarFunction:
-    """t -> -f(t)/t; preserves operator monotonicity for positive f."""
-    _require_positive_on_domain(f)
-    fn, d1, d2 = f.fn, f.d1, f.d2
-    closed = d1 is not None and d2 is not None
-
-    def g(t):
-        return -fn(t) / t
-
-    def g1(t):
-        return (fn(t) - t * d1(t)) / (t * t)
-
-    def g2(t):
-        return -d2(t) / t + 2.0 * d1(t) / (t * t) - 2.0 * fn(t) / (t**3)
-
-    return ScalarFunction(
-        name=f"negrecip({f.name})",
-        domain=f.domain,
-        fn=g,
-        d1=g1 if closed else None,
-        d2=g2 if closed else None,
-        claimed_class=f.claimed_class,
-    )
-
-
-def transform_quotient(f: ScalarFunction) -> ScalarFunction:
-    """t -> t/f(t); preserves operator monotonicity for positive monotone f."""
-    _require_positive_on_domain(f)
-    fn, d1, d2 = f.fn, f.d1, f.d2
-    closed = d1 is not None and d2 is not None
-
-    def g(t):
-        return t / fn(t)
-
-    def g1(t):
-        v = fn(t)
-        return (v - t * d1(t)) / (v * v)
-
-    def g2(t):
-        v = fn(t)
-        return (-t * d2(t) * v - 2.0 * d1(t) * (v - t * d1(t))) / (v**3)
-
-    return ScalarFunction(
-        name=f"quotient({f.name})",
-        domain=f.domain,
-        fn=g,
-        d1=g1 if closed else None,
-        d2=g2 if closed else None,
-        claimed_class=f.claimed_class,
-    )
 
 
 def transform_involution(f: ScalarFunction) -> ScalarFunction:

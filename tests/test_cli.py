@@ -1,10 +1,15 @@
 """End-to-end command-line tests, driving main() in process."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import loewnerlab
 from loewnerlab.cli import main
 from loewnerlab.connections import geometric_mean_closed_form
 from loewnerlab.hermitian import HermitianMatrix
@@ -23,6 +28,24 @@ def write(tmp_path, name, text):
 
 
 # --- check -----------------------------------------------------------------
+
+def test_import_and_check_leave_scipy_optimize_unloaded():
+    # only NNLS needs scipy.optimize, and check never fits a measure
+    src = str(pathlib.Path(loewnerlab.__file__).parents[1])
+    script = (
+        "import contextlib, io, sys\n"
+        "from loewnerlab.cli import main\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['check', 'sqrt', '--seed', '1'])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
+
 
 def test_check_sqrt_passes(capsys):
     code, out, _ = run(capsys, "check", "sqrt", "--seed", "1")

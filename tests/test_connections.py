@@ -1,5 +1,7 @@
 """Operator means built from parallel sums, against closed forms."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -303,13 +305,13 @@ def _mp_connection(mu, a, b):
 @pytest.mark.parametrize("seed", range(6))
 def test_parallel_sums_stay_accurate_near_the_cap(seed):
     # cond(A) = cond(B) = 1e8 in different bases: the parallel-sum route keeps
-    # ~1e-10, where the congruence A^1/2 f(A^-1/2 B A^-1/2) A^1/2 loses ~1e-4
+    # 1.0e-10 at worst, where the congruence A^1/2 f(A^-1/2 B A^-1/2) A^1/2 loses ~1e-4
     spectrum = np.geomspace(1.0, 1e8, 4)
     a, b = _pair_in_bases(seed, spectrum, spectrum)
     for mu in (harmonic_spec(), geometric_spec(50)):
         ref = _mp_connection(mu, a, b)
         got = evaluate_connection(mu, a, b).entries
-        assert np.linalg.norm(got - ref, 2) <= 1e-8 * np.linalg.norm(ref, 2)
+        assert np.linalg.norm(got - ref, 2) <= 1e-9 * np.linalg.norm(ref, 2)
     with pytest.raises(NumericalFailure):
         geometric_mean_closed_form(a, b)
 
@@ -377,7 +379,7 @@ def test_parallel_sums_stay_accurate_near_the_cap_as_one_stack():
         rows = connections._connection_stack(mu, a, b)
         for (pa, pb), got in zip(pairs, rows):
             ref = _mp_connection(mu, pa, pb)
-            assert np.linalg.norm(got - ref, 2) <= 1e-8 * np.linalg.norm(ref, 2)
+            assert np.linalg.norm(got - ref, 2) <= 1e-9 * np.linalg.norm(ref, 2)
 
 
 def test_inverse_overflow_is_a_numerical_failure_naming_the_operand():
@@ -391,3 +393,90 @@ def test_inverse_overflow_is_a_numerical_failure_naming_the_operand():
     # no interior atom, no inverse
     out = evaluate_connection(arithmetic_spec(), tiny, one).entries
     assert np.all(np.isfinite(out))
+
+
+# ---------------------------------------------------------------------------
+# Guarding the parallel-sum stack without decomposing it
+
+
+def _counting_linalg(monkeypatch):
+    """Count every np.linalg.eigh and eigvalsh call, wherever it is made."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        orig = getattr(np.linalg, name)
+
+        def counted(entries, *args, _orig=orig, _name=name, **kw):
+            calls[_name] += 1
+            return _orig(entries, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_parallel_sum_slices_stay_within_the_operand_condition(n):
+    # cond((1-lam) A^-1 + lam B^-1) <= max(cond A, cond B) in exact
+    # arithmetic; the computed slices may exceed it only by the rounding that
+    # _near_cap allows for
+    rng = np.random.default_rng(90 + n)
+    lam = np.array([lk for lk, _ in geometric_spec(50).atoms])[:, None, None]
+    eta = connections._ROUNDING * n * np.finfo(np.float64).eps
+    for trial in range(30):
+        cond_a, cond_b = 10.0 ** rng.uniform(0.0, 12.0, 2)
+        a, b = _pair_in_bases(rng, np.geomspace(1.0, cond_a, n) * rng.uniform(0.1, 10.0),
+                              np.geomspace(cond_b, 1.0, n))
+        if trial % 3 == 0:
+            b = a
+        lam_a, u_a = connections._pd_eigh(a.entries[None], "left operand")
+        lam_b, u_b = connections._pd_eigh(b.entries[None], "right operand")
+        cap = max(lam_a[0, -1] / lam_a[0, 0], lam_b[0, -1] / lam_b[0, 0])
+        stack = ((1.0 - lam) * connections._inverse(lam_a, u_a)
+                 + lam * connections._inverse(lam_b, u_b))
+        ev = np.linalg.eigvalsh(stack)
+        cond = ev[:, -1] / ev[:, 0]
+        assert ev.min() > 0.0
+        assert cond.max() <= cap * (1.0 + eta) / (1.0 - eta * cap)
+
+
+def test_rounding_over_the_cap_is_refused_by_the_flagged_slice_check(monkeypatch):
+    # cond(A) = 1e12 is within the cap, and so is every slice in exact
+    # arithmetic; rounding tips some slices of the 200-atom stack over it
+    a = _herm(np.diag([1.0, 1e12]))
+    calls = _counting_linalg(monkeypatch)
+    with pytest.raises(NumericalFailure,
+                       match="^parallel-sum stack too ill-conditioned to invert$"):
+        evaluate_connection(geometric_spec(200), a, a)
+    assert calls == {"eigh": 2, "eigvalsh": 1}
+    # harmonic's one slice stays within the cap after rounding: no refusal
+    out = evaluate_connection(harmonic_spec(), a, a).entries
+    np.testing.assert_allclose(out, a.entries, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 7])
+def test_well_conditioned_stack_is_never_decomposed(monkeypatch, k, n):
+    a, b = _pd_stacks(100 + n, k, n)
+    calls = _counting_linalg(monkeypatch)
+    connections._connection_stack(geometric_spec(200), a, b)
+    assert calls == {"eigh": 2, "eigvalsh": 0}
+
+
+def test_failed_stack_inverse_is_a_numerical_failure(monkeypatch):
+    def singular(m):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    a, b = _pd_pair(110)
+    with pytest.raises(NumericalFailure, match="parallel-sum stack: Singular matrix"):
+        evaluate_connection(harmonic_spec(), a, b)
+
+
+def test_closed_form_overflow_names_the_inner_matrix():
+    tiny = _herm(np.diag([1e-310, 2e-310]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=r"^A\^-1/2 B A\^-1/2 is not finite$"):
+            geometric_mean_closed_form(tiny, _herm(np.eye(2)))
+        # with B = A the inner matrix is I, and the mean is computable
+        same = geometric_mean_closed_form(tiny, tiny).entries
+    assert np.abs(same - tiny.entries).max() <= 5e-324

@@ -21,8 +21,6 @@ from loewnerlab.monotonicity import (
     sample_nodes,
     sample_nodes_near_coincident,
     transform_involution,
-    transform_neg_reciprocal,
-    transform_quotient,
 )
 
 IV = Interval(0.1, 10.0)
@@ -120,26 +118,10 @@ def test_involution_swaps_kernel_parameter():
         np.testing.assert_allclose(g.deriv(t), target.deriv(t), rtol=1e-10)
 
 
-def test_quotient_of_sqrt_is_sqrt():
-    g = transform_quotient(get_function("sqrt"))
-    for t in (0.3, 1.0, 7.7):
-        np.testing.assert_allclose(g(t), math.sqrt(t), rtol=1e-14)
-        np.testing.assert_allclose(g.deriv(t), 0.5 / math.sqrt(t), rtol=1e-12)
-
-
-def test_neg_reciprocal_values():
-    g = transform_neg_reciprocal(get_function("id"))
-    for t in (0.2, 1.0, 9.0):
-        assert g(t) == -1.0
-    h = transform_neg_reciprocal(get_function("sqrt"))
-    np.testing.assert_allclose(h(4.0), -0.5, rtol=1e-15)
-
-
 def test_transforms_require_positive_functions():
     shifted = ScalarFunction("shifted", POSITIVE_AXIS, lambda t: t - 5.0)
-    for tf in (transform_neg_reciprocal, transform_quotient, transform_involution):
-        with pytest.raises(UsageError):
-            tf(shifted)
+    with pytest.raises(UsageError):
+        transform_involution(shifted)
 
 
 def test_derivative_bound_at_one():
