@@ -31,6 +31,7 @@ from .errors import UsageError
 from .functions import (
     OPERATOR_MONOTONE,
     ScalarFunction,
+    _node_values,
     catalog,
     get_function,
     mollify,
@@ -622,19 +623,19 @@ def crit_choquet(cfg: RunConfig):
 def crit_p1_bounds(cfg: RunConfig):
     members = _p1_members()
     ts = np.geomspace(0.01, 100.0, 50)
+    # every pair t < s of the grid, with the slope bound (1 + 1/t)(s - t)
+    i, j = np.triu_indices(len(ts), k=1)
+    t, s = ts[i], ts[j]
+    slope_bound = (1.0 + 1.0 / t) * (s - t)
     worst_upper = -math.inf
     worst_slope_low = math.inf
     worst_slope_high = -math.inf
     for f in members:
-        vals = np.array([f(float(t)) for t in ts])
+        vals = _node_values(f, ts)
         worst_upper = max(worst_upper, float((vals - (ts + 1.0)).max()))
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                t, s = float(ts[i]), float(ts[j])
-                diff = float(vals[j] - vals[i])
-                worst_slope_low = min(worst_slope_low, diff)
-                excess = diff - (1.0 + 1.0 / t) * (s - t)
-                worst_slope_high = max(worst_slope_high, excess)
+        diff = vals[j] - vals[i]
+        worst_slope_low = min(worst_slope_low, float(diff.min()))
+        worst_slope_high = max(worst_slope_high, float((diff - slope_bound).max()))
     slack = 1e-12 * (1.0 + float(ts[-1]))
     ok = (
         worst_upper <= slack

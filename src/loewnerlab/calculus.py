@@ -12,7 +12,7 @@ evaluated once per eigenvalue, and the divided-difference matrices are formed
 from those values by the divdiff kernels (through _loewner_stack and
 _dd_tables).  apply_function has a stacked body that lifts f to a whole
 (trials, n, n) stack with one eigendecomposition, evaluating f per eigenvalue
-through divdiff._node_values as the divided-difference builds do; the
+through functions._node_values as the divided-difference builds do; the
 randomized checks call it directly.
 """
 
@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .divdiff import _dd_tables, _loewner_stack, _node_values
+from .divdiff import _dd_tables, _loewner_stack
 from .errors import UsageError
-from .functions import ScalarFunction
+from .functions import ScalarFunction, _node_values
 from .hermitian import (
     HermitianMatrix,
     _adjoint,

@@ -34,7 +34,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from .errors import UsageError
-from .functions import ScalarFunction, UNKNOWN
+from .functions import ScalarFunction, UNKNOWN, _node_values
 from .hermitian import Interval
 
 #: Relative node-coincidence threshold.
@@ -169,11 +169,6 @@ def _dd2_values(f: ScalarFunction, t1, t2, t3, f1, f2, f3, d_mid) -> np.ndarray:
         lim[i] = dd2(f, float(t1[i]), float(t2[i]), float(t3[i]))
     m[k] = lim
     return m
-
-
-def _node_values(g, ts: np.ndarray) -> np.ndarray:
-    """g (f or f.deriv) at every entry of ts, called on Python floats like dd1/dd2."""
-    return np.array([g(x) for x in ts.ravel().tolist()]).reshape(ts.shape)
 
 
 def _dd_tables(f: ScalarFunction, nodes) -> tuple[np.ndarray, np.ndarray]:

@@ -8,11 +8,20 @@ catalog collects the standard positive operator monotone functions on
 harmonic representers -- together with deliberate non-examples (square, cube,
 exp) used to exercise refutation paths.
 
+_node_values evaluates a scalar callable at every entry of an array, on
+Python floats; the divided-difference builds, the matrix functions of
+calculus and the mollifier all evaluate f through it.
+
 The second half implements mollification: convolution against the compactly
 supported bump exp(-1/(1-x^2)), normalized to unit mass, evaluated by
 adaptive Gauss-Legendre quadrature.  Differentiating the kernel instead of
 the function gives derivatives of the smoothed function without ever
-differencing the input.
+differencing the input.  The quadrature integrand works on a whole level's
+node vector: f is evaluated at x - eps*y for every node y, and the kernel
+at the nodes is read from a read-only table built point by point once per
+(mollifier, node count) and kept in a bounded cache.  Profiles and catalog
+callables stay scalar (math.exp and Python pow, not numpy's, whose last
+bits differ), so every value equals the node-by-node sum bitwise.
 """
 
 from __future__ import annotations
@@ -86,6 +95,11 @@ class ScalarFunction:
             d2=None if d2 is None else (lambda x: -d2(x)),
             claimed_class=UNKNOWN,
         )
+
+
+def _node_values(g, ts: np.ndarray) -> np.ndarray:
+    """g (f, f.deriv, a density) at every entry of ts, called on Python floats."""
+    return np.array([g(x) for x in ts.ravel().tolist()]).reshape(ts.shape)
 
 
 def kernel01(lam, t):
@@ -224,23 +238,27 @@ def _bump_deriv(x: float) -> float:
 
 @lru_cache(maxsize=None)
 def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights, read-only: integrands receive the nodes."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _adaptive_gl(g, start: int = 64, stop_tol: float = 1e-10, cap: int = 1024) -> float:
     """Gauss-Legendre on [-1, 1], doubling nodes until the value settles.
 
-    Raises NumericalFailure if the value has not settled to stop_tol by cap
-    nodes.
+    g is a vector integrand: it takes a level's node vector and returns the
+    integrand at every node, and each level sums np.sum(w * g(x)).  Raises
+    NumericalFailure if the value has not settled to stop_tol by cap nodes.
     """
     n = start
     x, w = _leggauss(n)
-    prev = float(np.sum(w * np.array([g(xi) for xi in x])))
+    prev = float(np.sum(w * g(x)))
     step = math.inf
     while n < cap:
         n *= 2
         x, w = _leggauss(n)
-        cur = float(np.sum(w * np.array([g(xi) for xi in x])))
+        cur = float(np.sum(w * g(x)))
         if abs(cur - prev) < stop_tol:
             return cur
         step, prev = abs(cur - prev), cur
@@ -268,9 +286,27 @@ class Mollifier:
 @lru_cache(maxsize=1)
 def standard_mollifier() -> Mollifier:
     """The bump exp(-1/(1-x^2)), normalized to integrate to 1."""
-    raw_mass = _adaptive_gl(_bump, start=64, stop_tol=1e-12, cap=2048)
+    raw_mass = _adaptive_gl(partial(_node_values, _bump), start=64, stop_tol=1e-12, cap=2048)
     return Mollifier(profile=_bump, profile_deriv=_bump_deriv,
                      normalizer=1.0 / raw_mass)
+
+
+@lru_cache(maxsize=32)
+def _kernel_table(density, n: int) -> np.ndarray:
+    """density (a mollifier's bound density or density_deriv) at the n
+    Gauss-Legendre nodes, built point by point and read-only.
+
+    A bound method hashes by the identity of its mollifier, so the cache is
+    keyed on (mollifier, kernel, n).
+    """
+    table = _node_values(density, _leggauss(n)[0])
+    table.flags.writeable = False
+    return table
+
+
+def _convolve(f: ScalarFunction, eps: float, x: float, density) -> float:
+    """int f(x - eps y) density(y) dy over (-1, 1), one node vector per level."""
+    return _adaptive_gl(lambda y: _node_values(f, x - eps * y) * _kernel_table(density, len(y)))
 
 
 def _check_mollify_window(f: ScalarFunction, eps: float, x: float):
@@ -288,7 +324,7 @@ def mollify(f: ScalarFunction, eps: float, x: float,
     """Value at x of f convolved with the eps-width mollifier."""
     _check_mollify_window(f, eps, x)
     m = mollifier or standard_mollifier()
-    return _adaptive_gl(lambda y: f(x - eps * y) * m.density(y))
+    return _convolve(f, eps, x, m.density)
 
 
 def mollify_derivative(f: ScalarFunction, eps: float, x: float,
@@ -300,6 +336,5 @@ def mollify_derivative(f: ScalarFunction, eps: float, x: float,
     """
     _check_mollify_window(f, eps, x)
     m = mollifier or standard_mollifier()
-    val = _adaptive_gl(lambda u: f(x - eps * u) * m.density_deriv(u))
-    return val / eps
+    return _convolve(f, eps, x, m.density_deriv) / eps
 

@@ -20,6 +20,7 @@ from loewnerlab.connections import (
     geometric_spec,
     harmonic_spec,
 )
+from loewnerlab.functions import _kernel_table
 from loewnerlab.hermitian import (
     PSD_TOL,
     HermitianMatrix,
@@ -192,3 +193,42 @@ def test_kubo_ando_stack_calls_do_not_grow_with_trials(monkeypatch):
         acc.crit_kubo_ando(RunConfig(seed=18, trials=trials))
         assert len(heights) == 3 * 4 * 8 + 3
         assert sum(heights) == 3 * 8 * trials + 20  # every trial in one row per role
+
+
+# ---------------------------------------------------------------------------
+# mollifier_regularization on cold and warm kernel tables, and
+# normalized_growth_bounds against a pair-by-pair reference
+
+
+def test_regularization_evidence_does_not_depend_on_kernel_table_cache():
+    cfg = RunConfig(seed=GATE_SEED)
+    _kernel_table.cache_clear()
+    cold = acc.crit_regularization(cfg)
+    assert _kernel_table.cache_info().currsize > 0
+    warm = acc.crit_regularization(cfg)
+    assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
+
+
+def _ref_p1_bounds():
+    """The growth-bound extremes over every grid pair, one pair at a time."""
+    ts = np.geomspace(0.01, 100.0, 50)
+    upper, low, high = -math.inf, math.inf, -math.inf
+    for f in acc._p1_members():
+        vals = np.array([f(float(t)) for t in ts])
+        upper = max(upper, float((vals - (ts + 1.0)).max()))
+        for i in range(len(ts)):
+            for j in range(i + 1, len(ts)):
+                t, s = float(ts[i]), float(ts[j])
+                diff = float(vals[j] - vals[i])
+                low = min(low, diff)
+                high = max(high, diff - (1.0 + 1.0 / t) * (s - t))
+    return upper, low, high
+
+
+def test_growth_bounds_evidence_equals_pairwise_reference():
+    ok, ev = acc.crit_p1_bounds(RunConfig(seed=GATE_SEED))
+    assert ok
+    got = (ev["worst_upper_bound_excess"], ev["worst_monotonicity_gap"],
+           ev["worst_slope_bound_excess"])
+    assert got == _ref_p1_bounds()
+    assert all(type(v) is float for v in got)

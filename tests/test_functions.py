@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from loewnerlab.functions import (
     OPERATOR_MONOTONE,
     Mollifier,
     ScalarFunction,
+    _kernel_table,
+    _leggauss,
     catalog,
     catalog_names,
     get_function,
@@ -143,3 +146,81 @@ def test_custom_mollifier_is_used():
     np.testing.assert_allclose(
         mollify_derivative(f, 0.5, 1.0, mollifier=cosb), 2.0, atol=1e-8
     )
+
+
+# ---------------------------------------------------------------------------
+# The vector quadrature against a node-by-node reference sum
+
+
+def _pointwise_gl(g, start=64, stop_tol=1e-10, cap=1024):
+    """Adaptive Gauss-Legendre with the integrand called once per node."""
+    n = start
+    nodes, w = np.polynomial.legendre.leggauss(n)
+    prev = float(np.sum(w * np.array([g(y) for y in nodes])))
+    while n < cap:
+        n *= 2
+        nodes, w = np.polynomial.legendre.leggauss(n)
+        cur = float(np.sum(w * np.array([g(y) for y in nodes])))
+        if abs(cur - prev) < stop_tol:
+            return cur
+        prev = cur
+    raise AssertionError("reference quadrature did not settle")
+
+
+def _raised_cosine():
+    return Mollifier(
+        profile=lambda x: 0.0 if abs(x) >= 1.0 else 0.5 * (1.0 + math.cos(math.pi * x)),
+        profile_deriv=lambda x: 0.0 if abs(x) >= 1.0 else -0.5 * math.pi * math.sin(math.pi * x),
+        normalizer=1.0,
+    )
+
+
+_AFFINE_PROBE = ScalarFunction("affine_probe", Interval(0.1, 10.0), lambda t: 3.0 * t + 2.0)
+
+
+@pytest.mark.parametrize("mol", [None, "raised_cosine"])
+@pytest.mark.parametrize("f", [get_function("sqrt"), _AFFINE_PROBE], ids=["sqrt", "affine"])
+@pytest.mark.parametrize("eps, x", [(0.1, 1.0), (0.05, 1.7), (0.01, 2.93), (0.5, 3.2)])
+def test_mollify_equals_pointwise_reference_bitwise(f, mol, eps, x):
+    m = _raised_cosine() if mol else standard_mollifier()
+    ref = _pointwise_gl(lambda y: f(x - eps * y) * m.density(y))
+    ref_d = _pointwise_gl(lambda y: f(x - eps * y) * m.density_deriv(y)) / eps
+    assert mollify(f, eps, x, mollifier=m) == ref
+    assert mollify_derivative(f, eps, x, mollifier=m) == ref_d
+
+
+def test_kernel_tables_are_built_once_and_read_only():
+    calls = {"profile": 0, "profile_deriv": 0}
+
+    def counting(name, g):
+        def h(x):
+            calls[name] += 1
+            return g(x)
+        return h
+
+    base = standard_mollifier()
+    m = Mollifier(counting("profile", base.profile),
+                  counting("profile_deriv", base.profile_deriv), base.normalizer)
+    f = ScalarFunction("affine", Interval(-10.0, 10.0), lambda t: 3.0 * t + 2.0)
+    mollify(f, 0.25, 1.0, mollifier=m)
+    # one table at the 64 nodes of the first level and one at 128, where it settles
+    assert calls == {"profile": 64 + 128, "profile_deriv": 0}
+    mollify(f, 0.25, 2.5, mollifier=m)
+    assert calls == {"profile": 192, "profile_deriv": 0}
+    # the derivative's table is separate; its quadrature settles at 256 nodes
+    mollify_derivative(f, 0.25, 2.5, mollifier=m)
+    assert calls == {"profile": 192, "profile_deriv": 64 + 128 + 256}
+    mollify_derivative(f, 0.25, -1.0, mollifier=m)
+    assert calls == {"profile": 192, "profile_deriv": 448}
+    # the cached tables and the node vectors handed to integrands are read-only
+    for table in (_kernel_table(m.density, 64), *_leggauss(64)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def test_mollify_overflow_names_function_and_point():
+    f = get_function("exp")
+    for fn in (mollify, mollify_derivative):
+        with pytest.raises(NumericalFailure, match=re.escape("exp(710.4993050417357) overflows")):
+            fn(f, 1.0, 709.5)
