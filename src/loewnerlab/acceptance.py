@@ -18,7 +18,14 @@ import numpy as np
 
 from ._version import __version__
 from .calculus import affine_path, apply_function, path_derivative, path_second_derivative
-from .choquet import GridFunction, caratheodory_decompose, concave_envelope, is_concave_grid
+from .choquet import (
+    GridFunction,
+    _finish,
+    _reduce_each,
+    _start_weights,
+    concave_envelope,
+    is_concave_grid,
+)
 from .connections import (
     _connection_stack,
     _geometric_mean_stack,
@@ -577,9 +584,7 @@ def crit_choquet(cfg: RunConfig):
         env_worst = max(env_worst, aff_gap / scale3)
 
     cara_n = 10 * cfg.trials if cfg.trials is not None else 1000
-    cara_ok = True
-    cara_worst = 0.0
-    max_support = 0
+    instances = []
     for t in range(cara_n):
         rng = _rng(cfg, 110, 2, t)
         d = 1 + t % 6
@@ -588,10 +593,15 @@ def crit_choquet(cfg: RunConfig):
         w0 = rng.exponential(1.0, m)
         w0 = w0 / w0.sum()
         point = verts.T @ w0
-        if t % 3 == 0:
-            res = caratheodory_decompose(verts, point, initial_weights=w0)
-        else:
-            res = caratheodory_decompose(verts, point)
+        instances.append(_start_weights(verts, point, w0 if t % 3 == 0 else None))
+    # every instance walks in one stack per d: one SVD per support size
+    reduced = _reduce_each([(v, w) for v, _, w in instances])
+    cara_ok = True
+    cara_worst = 0.0
+    max_support = 0
+    for (verts, point, _), w in zip(instances, reduced):
+        res = _finish(verts, point, w)
+        d = verts.shape[1]
         max_support = max(max_support, res.support_size())
         cara_worst = max(cara_worst, res.residual)
         if res.support_size() > d + 1 or res.residual > 1e-9:

@@ -6,7 +6,11 @@ Two finite-dimensional shadows of barycenter machinery:
    convex hull of its graph (monotone-chain), and
  * rewriting a convex combination of polytope vertices so that at most
    d + 1 vertices carry weight, by walking along null vectors of the lifted
-   vertex matrix until weights hit zero.
+   vertex matrix until weights hit zero.  The walk takes a whole stack of
+   instances, zero-padded to one length: each pass makes one batched SVD of
+   the rows that share the largest support, so a stack of m-vertex rows
+   needs at most m - d - 1 passes.  caratheodory_decompose is its one-row
+   call.
 
 The kernel side of the barycenter picture, a normalized function fitted as
 a mixture of extreme kernels with its mass pinned to one, is
@@ -67,8 +71,10 @@ def is_concave_grid(gf: GridFunction, tol: float = 1e-12) -> bool:
 
 def _upper_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list:
     """Monotone chain, keeping only vertices of the upper convex hull."""
+    # Python floats are the same doubles, read without a numpy scalar each
+    xs, ys = xs.tolist(), ys.tolist()
     hull: list = []
-    for i in range(xs.size):
+    for i in range(len(xs)):
         while len(hull) >= 2:
             j, k = hull[-2], hull[-1]
             # drop k if it lies on or below the chord from j to i
@@ -133,35 +139,129 @@ def _feasible_weights(vertices: np.ndarray, point: np.ndarray) -> np.ndarray:
     return w
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm wherever that is finite; rescaled where its squares overflow."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+    if math.isfinite(nrm) or not np.all(np.isfinite(v)):
+        return nrm
+    big = float(np.abs(v).max())
+    return big * float(np.linalg.norm(v / big))
+
+
 def _reduce_support(vertices: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Walk null directions of the lifted vertex matrix until <= d+1 atoms."""
-    d = vertices.shape[1]
+    """Walk null directions of the lifted vertex matrices until <= d+1 atoms.
+
+    vertices: (k, m, d), w: (k, m), one instance per row; shorter instances
+    are padded with zero weights, which are never in the support and never
+    come back.  Each pass takes the rows whose live support has the largest
+    size s > d + 1 and makes one SVD of their (rows, d + 1, s) lifted stack.
+    A pass removes at least one atom from each of its rows, so rows of equal
+    size merge and a stack needs at most m - d - 1 passes.  Every row takes
+    the same steps, bit for bit, as it would walked alone.
+    """
+    d = vertices.shape[2]
     w = w.copy()
     while True:
-        support = np.flatnonzero(w > 0.0)
-        if support.size <= d + 1:
+        live = w > 0.0
+        sizes = live.sum(axis=1)
+        s = int(sizes.max(initial=0))
+        if s <= d + 1:
             return w
-        lifted = np.vstack([vertices[support].T, np.ones((1, support.size))])
-        # right null space exists since support > d+1 columns of a (d+1)-row matrix
+        rows = np.flatnonzero(sizes == s)
+        support = np.nonzero(live[rows])[1].reshape(rows.size, s)
+        sel = (rows[:, None], support)
+        lifted = np.concatenate(
+            [vertices[sel].transpose(0, 2, 1), np.ones((rows.size, 1, s))], axis=1
+        )
+        # right null space exists since s > d+1 columns of a (d+1)-row matrix
         _, _, vt = np.linalg.svd(lifted)
-        z = vt[-1]
-        best = None
+        z = vt[:, -1, :]
+        ws = w[sel]
+        # ratio test along +z and -z: the first smallest ratio in support
+        # order; on a tie between signs, the smaller hit index wins
+        best_t = np.full(rows.size, np.inf)
+        best_j = np.full(rows.size, -1)
+        best_sign = np.zeros(rows.size)
         for sign in (1.0, -1.0):
             zz = sign * z
             pos = zz > 1e-14
-            if not np.any(pos):
-                continue
-            ratios = w[support[pos]] / zz[pos]
-            t = ratios.min()
-            hit = support[pos][int(np.argmin(ratios))]
-            if best is None or t < best[0] or (t == best[0] and hit < best[2]):
-                best = (t, zz, hit)
-        if best is None:
+            ratios = np.where(pos, ws / np.where(pos, zz, 1.0), np.inf)
+            j = np.argmin(ratios, axis=1)
+            t = ratios[np.arange(rows.size), j]
+            better = pos.any(axis=1) & ((t < best_t) | ((t == best_t) & (j < best_j)))
+            best_t = np.where(better, t, best_t)
+            best_j = np.where(better, j, best_j)
+            best_sign = np.where(better, sign, best_sign)
+        if np.any(best_j < 0):
             raise NumericalFailure("null direction has no positive component")
-        t, zz, hit = best
-        w[support] = w[support] - t * zz
-        w[hit] = 0.0
-        w = np.maximum(w, 0.0)
+        w[sel] = ws - best_t[:, None] * (best_sign[:, None] * z)
+        w[rows, support[np.arange(rows.size), best_j]] = 0.0
+        w[rows] = np.maximum(w[rows], 0.0)
+
+
+def _reduce_each(instances: list) -> list:
+    """_reduce_support over (vertices, weights) pairs: one zero-padded stack per d."""
+    out = [None] * len(instances)
+    for d in sorted({v.shape[1] for v, _ in instances}):
+        rows = [i for i, (v, _) in enumerate(instances) if v.shape[1] == d]
+        m = max(instances[i][1].size for i in rows)
+        vs = np.zeros((len(rows), m, d))
+        ws = np.zeros((len(rows), m))
+        for r, i in enumerate(rows):
+            v, w = instances[i]
+            vs[r, : w.size] = v
+            ws[r, : w.size] = w
+        ws = _reduce_support(vs, ws)
+        for r, i in enumerate(rows):
+            out[i] = ws[r, : instances[i][1].size]
+    return out
+
+
+def _start_weights(vertices, point, initial_weights):
+    """Validate an instance; return it as arrays with feasible start weights.
+
+    The start weights are initial_weights, checked to be feasible, or else
+    a basic solution from NNLS.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    point = np.asarray(point, dtype=float)
+    if vertices.ndim != 2 or vertices.shape[0] == 0:
+        raise UsageError("vertices must be a nonempty (m, d) array")
+    if vertices.shape[1] == 0:
+        raise UsageError("vertices must have at least one coordinate")
+    if point.shape != (vertices.shape[1],):
+        raise UsageError(
+            f"point has dimension {point.shape}, vertices rows have {vertices.shape[1]}"
+        )
+    if not (np.all(np.isfinite(vertices)) and np.all(np.isfinite(point))):
+        raise UsageError("vertices and point must be finite")
+    if initial_weights is None:
+        return vertices, point, _feasible_weights(vertices, point)
+    w = np.asarray(initial_weights, dtype=float)
+    if w.shape != (vertices.shape[0],) or np.any(w < 0.0):
+        raise UsageError("initial_weights must be nonnegative, one per vertex")
+    total = w.sum()
+    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
+        raise UsageError(f"initial_weights must sum to 1, got {total}")
+    recon = vertices.T @ w
+    if _norm(recon - point) > FEAS_TOL * max(1.0, _norm(point)):
+        raise UsageError("initial_weights do not reproduce the point")
+    return vertices, point, w
+
+
+def _finish(vertices, point, w) -> BarycenterResult:
+    """Renormalize the reduced weights on their support and measure the residual."""
+    support = np.flatnonzero(w > 0.0)
+    weights = w[support]
+    total = weights.sum()
+    if total <= 0.0:
+        raise NumericalFailure("support reduction lost all mass")
+    weights = weights / total
+    recon = vertices[support].T @ weights
+    return BarycenterResult(
+        indices=support, weights=weights, point=recon, residual=_norm(recon - point)
+    )
 
 
 def caratheodory_decompose(
@@ -171,40 +271,10 @@ def caratheodory_decompose(
 
     vertices: (m, d) array of rows; point: length-d vector.  When
     initial_weights is given it must already be feasible and is only
-    reduced (useful for exercising the reduction on its own).
+    reduced (useful for exercising the reduction on its own).  This is the
+    one-row call of the stack walk _reduce_support, which takes at most
+    m - d - 1 passes.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    point = np.asarray(point, dtype=float)
-    if vertices.ndim != 2 or vertices.shape[0] == 0:
-        raise UsageError("vertices must be a nonempty (m, d) array")
-    if point.shape != (vertices.shape[1],):
-        raise UsageError(
-            f"point has dimension {point.shape}, vertices rows have {vertices.shape[1]}"
-        )
-    if not (np.all(np.isfinite(vertices)) and np.all(np.isfinite(point))):
-        raise UsageError("vertices and point must be finite")
-    if initial_weights is not None:
-        w = np.asarray(initial_weights, dtype=float)
-        if w.shape != (vertices.shape[0],) or np.any(w < 0.0):
-            raise UsageError("initial_weights must be nonnegative, one per vertex")
-        total = w.sum()
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise UsageError(f"initial_weights must sum to 1, got {total}")
-        recon = vertices.T @ w
-        if np.linalg.norm(recon - point) > FEAS_TOL * max(1.0, np.linalg.norm(point)):
-            raise UsageError("initial_weights do not reproduce the point")
-    else:
-        w = _feasible_weights(vertices, point)
-    w = _reduce_support(vertices, w)
-    support = np.flatnonzero(w > 0.0)
-    weights = w[support]
-    total = weights.sum()
-    if total <= 0.0:
-        raise NumericalFailure("support reduction lost all mass")
-    weights = weights / total
-    recon = vertices[support].T @ weights
-    residual = float(np.linalg.norm(recon - point))
-    return BarycenterResult(
-        indices=support, weights=weights, point=recon, residual=residual
-    )
-
+    vertices, point, w = _start_weights(vertices, point, initial_weights)
+    w = _reduce_support(vertices[None], w[None])[0]
+    return _finish(vertices, point, w)

@@ -1,17 +1,27 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loewnerlab import choquet
+from loewnerlab.acceptance import crit_choquet
 from loewnerlab.choquet import (
     GridFunction,
+    _norm,
+    _reduce_each,
+    _reduce_support,
     _slopes,
+    _start_weights,
+    _upper_hull_indices,
     caratheodory_decompose,
     concave_envelope,
     is_concave_grid,
 )
-from loewnerlab.errors import InfeasiblePointError, UsageError
+from loewnerlab.errors import InfeasiblePointError, NumericalFailure, UsageError
 from loewnerlab.functions import get_function
 from loewnerlab.measures import RadonMeasure01, default_lambda_grid, fit_measure, synthesize
+from loewnerlab.report import RunConfig
 
 
 def test_gridfunction_validation():
@@ -144,10 +154,205 @@ def test_caratheodory_rejects_bad_initial_weights():
 def test_caratheodory_input_validation():
     with pytest.raises(UsageError):
         caratheodory_decompose(np.zeros((0, 2)), np.array([0.0, 0.0]))
+    with pytest.raises(UsageError, match="at least one coordinate"):
+        caratheodory_decompose(np.zeros((3, 0)), np.zeros(0))
     with pytest.raises(UsageError):
         caratheodory_decompose(np.zeros((3, 2)), np.array([0.0]))
     with pytest.raises(UsageError):
         caratheodory_decompose(np.array([[np.nan, 0.0]]), np.array([0.0, 0.0]))
+
+
+def _hull_reference(xs, ys):
+    """The monotone chain on numpy scalars, read one entry at a time."""
+    hull = []
+    for i in range(xs.size):
+        while len(hull) >= 2:
+            j, k = hull[-2], hull[-1]
+            cross = (xs[k] - xs[j]) * (ys[i] - ys[j]) - (ys[k] - ys[j]) * (xs[i] - xs[j])
+            if cross >= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+def test_upper_hull_on_python_floats_matches_numpy_scalars():
+    rng = np.random.default_rng(21)
+    for t in range(300):
+        n = int(rng.integers(2, 61))
+        xs = np.cumsum(rng.uniform(0.1, 1.0, n))
+        ys = rng.normal(0.0, 1.0, n)
+        if t % 3 == 0:  # rounded values: collinear runs and exact ties
+            xs, ys = np.arange(n, dtype=float), np.round(ys)
+        assert _upper_hull_indices(xs, ys) == _hull_reference(xs, ys)
+
+
+def _walk_reference(vertices, w):
+    """The single-instance support walk the stack walk replaced."""
+    d = vertices.shape[1]
+    w = w.copy()
+    while True:
+        support = np.flatnonzero(w > 0.0)
+        if support.size <= d + 1:
+            return w
+        lifted = np.vstack([vertices[support].T, np.ones((1, support.size))])
+        _, _, vt = np.linalg.svd(lifted)
+        z = vt[-1]
+        best = None
+        for sign in (1.0, -1.0):
+            zz = sign * z
+            pos = zz > 1e-14
+            if not np.any(pos):
+                continue
+            ratios = w[support[pos]] / zz[pos]
+            t = ratios.min()
+            hit = support[pos][int(np.argmin(ratios))]
+            if best is None or t < best[0] or (t == best[0] and hit < best[2]):
+                best = (t, zz, hit)
+        if best is None:
+            raise NumericalFailure("null direction has no positive component")
+        t, zz, hit = best
+        w[support] = w[support] - t * zz
+        w[hit] = 0.0
+        w = np.maximum(w, 0.0)
+
+
+def _assert_stack_matches_reference(instances):
+    for (v, w), got in zip(instances, _reduce_each(instances)):
+        want = _walk_reference(v, w)
+        assert got.tobytes() == want.tobytes()
+
+
+def _criterion_draws(seed, count=1000):
+    """crit_choquet's Caratheodory draws: (vertices, point, initial_weights or None)."""
+    out = []
+    for t in range(count):
+        rng = np.random.default_rng((seed, 110, 2, t))
+        d = 1 + t % 6
+        m = int(rng.integers(d + 2, 31))
+        verts = rng.normal(0.0, 1.0, (m, d))
+        w0 = rng.exponential(1.0, m)
+        w0 = w0 / w0.sum()
+        out.append((verts, verts.T @ w0, w0 if t % 3 == 0 else None))
+    return out
+
+
+def _criterion_instances(seed):
+    """crit_choquet's instances as (vertices, start weights) pairs."""
+    return [(v, _start_weights(v, p, w0)[2]) for v, p, w0 in _criterion_draws(seed)]
+
+
+@pytest.mark.parametrize("seed", [1234, 0])
+def test_stack_walk_matches_single_walk_on_criterion_instances(seed):
+    _assert_stack_matches_reference(_criterion_instances(seed))
+
+
+def test_stack_walk_matches_single_walk_on_mixed_lengths():
+    rng = np.random.default_rng(5)
+    instances = []
+    for m in range(3, 31):
+        v = rng.normal(0.0, 1.0, (m, 2))
+        instances.append((v, rng.dirichlet(np.ones(m))))
+    # one row already at d + 1 atoms: it takes no pass
+    instances.append((rng.normal(0.0, 1.0, (3, 2)), np.array([0.2, 0.3, 0.5])))
+    _assert_stack_matches_reference(instances)
+
+
+def _count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(choquet.np.linalg, "svd", counted)
+    return calls
+
+
+def test_row_at_d_plus_one_takes_no_pass(monkeypatch):
+    calls = _count_svd(monkeypatch)
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    w = np.array([0.2, 0.3, 0.5])
+    out = _reduce_support(v[None], w[None])
+    assert calls == []
+    assert out[0].tobytes() == w.tobytes()
+
+
+def test_stack_walk_ties_match_single_walk(monkeypatch):
+    # duplicated vertices with equal weights: the ratio test ties, within a
+    # sign (the first argmin) and across signs (the smaller hit index)
+    ties = [
+        (np.array([[-1.0], [0.0], [0.0], [0.0], [0.0], [0.0], [1.0]]), np.full(7, 1 / 7)),
+        (np.array([[0.0], [1.0], [0.0], [1.0]]), np.full(4, 0.25)),
+    ]
+    _assert_stack_matches_reference(ties)
+    calls = _count_svd(monkeypatch)
+    v, w = ties[0]
+    out = _reduce_support(v[None], w[None])[0]
+    # five atoms go in four passes: one pass drops two
+    assert np.count_nonzero(out) == 2
+    assert len(calls) == 4
+
+
+def test_criterion_walks_once_per_support_size(monkeypatch):
+    instances = _criterion_instances(1234)
+    calls = _count_svd(monkeypatch)
+    ok, _ = crit_choquet(RunConfig(seed=1234))
+    assert ok
+    # a stack that walks at all takes at most (longest row - d - 1) passes
+    bound = 0
+    for d in range(1, 7):
+        rows = [w for v, w in instances if v.shape[1] == d]
+        if any(np.count_nonzero(w) > d + 1 for w in rows):
+            bound += max(w.size for w in rows) - d - 1
+    # the single-instance walk made 4569 SVD calls here
+    assert len(calls) == 53
+    assert len(calls) <= bound
+
+
+def test_criterion_evidence_matches_per_instance_loop():
+    cfg = RunConfig(seed=1234, trials=30)
+    ok, ev = crit_choquet(cfg)
+    worst, largest = 0.0, 0
+    for verts, point, w0 in _criterion_draws(1234, 300):
+        res = caratheodory_decompose(verts, point, initial_weights=w0)
+        worst = max(worst, res.residual)
+        largest = max(largest, res.support_size())
+        assert res.support_size() <= verts.shape[1] + 1
+    assert ok
+    assert ev["caratheodory_instances"] == 300
+    assert ev["caratheodory_worst_residual"] == worst
+    assert ev["caratheodory_max_support_excess"] == largest
+
+
+def test_norm_equals_numpy_where_finite():
+    rng = np.random.default_rng(3)
+    for scale in (1e-300, 1e-5, 1.0, 1e100, 1e150):
+        v = rng.normal(0.0, scale, 7)
+        assert _norm(v) == float(np.linalg.norm(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+        assert _norm(np.array([1.5530316670799382e292, 0.0])) == 1.5530316670799382e292
+
+
+def test_caratheodory_at_extreme_scale_has_finite_residual():
+    verts = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308], [0.0, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = caratheodory_decompose(verts, np.zeros(2))
+    assert np.isfinite(res.residual)
+    # the rounding error of a 1e308-sized combination
+    assert res.residual <= 1e-15 * 1e308
+
+
+def test_initial_weights_check_survives_overflowing_norms():
+    # the weights give 0, not 1e200; the squared norms both overflow
+    with pytest.raises(UsageError, match="reproduce"):
+        caratheodory_decompose(np.array([[0.0], [2e200]]), np.array([1e200]),
+                               initial_weights=np.array([1.0, 0.0]))
 
 
 def _kernel_barycenter(f):

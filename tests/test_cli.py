@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -407,6 +408,22 @@ def test_caratheodory_outside_hull_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "caratheodory", poly)
     assert code == 2
     assert "convex combination" in err
+
+
+def test_caratheodory_at_extreme_scale_prints_finite_residual(tmp_path, capsys):
+    poly = write(tmp_path, "p.json",
+                 '{"vertices": [[1e308, 0], [-1e308, 0], [0, 1e308], [0, -1e308]],'
+                 ' "point": [0, 0]}')
+
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in output")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "caratheodory", poly)
+    assert code == 0
+    obj = json.loads(out, parse_constant=reject)
+    assert 0.0 <= obj["residual"] <= 1e-15 * 1e308
 
 
 def test_corrupt_json_is_usage_error(tmp_path, capsys):
