@@ -245,7 +245,9 @@ def _start_weights(vertices, point, initial_weights):
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise UsageError(f"initial_weights must sum to 1, got {total}")
     recon = vertices.T @ w
-    if _norm(recon - point) > FEAS_TOL * max(1.0, _norm(point)):
+    # scaled as _feasible_weights scales: rounding in V^T w grows with the vertices
+    scale = max(1.0, float(np.abs(vertices).max()), float(np.abs(point).max()))
+    if _norm(recon - point) > FEAS_TOL * scale:
         raise UsageError("initial_weights do not reproduce the point")
     return vertices, point, w
 

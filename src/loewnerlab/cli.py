@@ -122,9 +122,9 @@ def cmd_fit(args) -> int:
     grid = default_lambda_grid(args.grid_size)
     mu, residual = fit_measure(samples, grid, mass_constraint=args.mass)
     if args.format == "csv":
-        text = dump_samples_csv(mu.atoms, None, header=("lambda", "w"))
+        text = dump_samples_csv(mu.atoms, header=("lambda", "w"))
     else:
-        text = dump_json(measure_to_obj(mu), None)
+        text = dump_json(measure_to_obj(mu))
     _emit(text, args.out)
     print(f"residual: {residual:.6e}  atoms: {len(mu.atoms)}", file=sys.stderr)
     return 0
@@ -141,9 +141,9 @@ def cmd_synth(args) -> int:
     ts = np.geomspace(args.tmin, args.tmax, args.count)
     pairs = [(float(t), f(float(t))) for t in ts]
     if args.format == "json":
-        text = dump_json({"samples": [[t, v] for t, v in pairs]}, None)
+        text = dump_json({"samples": [[t, v] for t, v in pairs]})
     else:
-        text = dump_samples_csv(pairs, None)
+        text = dump_samples_csv(pairs)
     _emit(text, args.out)
     return 0
 
@@ -170,7 +170,7 @@ def cmd_mean(args) -> int:
     a = load_matrix(args.a)
     b = load_matrix(args.b)
     result = evaluate_connection(spec, a, b)
-    _emit(dump_json(matrix_to_obj(result), None), args.out)
+    _emit(dump_json(matrix_to_obj(result)), args.out)
     return 0
 
 
@@ -179,9 +179,9 @@ def cmd_envelope(args) -> int:
     env = concave_envelope(gf)
     pairs = list(zip(env.xs.tolist(), env.ys.tolist()))
     if args.format == "json":
-        text = dump_json({"xs": env.xs.tolist(), "ys": env.ys.tolist()}, None)
+        text = dump_json({"xs": env.xs.tolist(), "ys": env.ys.tolist()})
     else:
-        text = dump_samples_csv(pairs, None, header=("x", "envelope"))
+        text = dump_samples_csv(pairs, header=("x", "envelope"))
     _emit(text, args.out)
     return 0
 
@@ -201,7 +201,7 @@ def cmd_caratheodory(args) -> int:
         "point": res.point.tolist(),
         "residual": res.residual,
     }
-    _emit(dump_json(obj, None), args.out)
+    _emit(dump_json(obj), args.out)
     return 0
 
 

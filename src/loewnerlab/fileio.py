@@ -128,12 +128,8 @@ def matrix_to_obj(a: HermitianMatrix) -> dict:
     }
 
 
-def dump_json(obj, path: str | None) -> str:
-    text = json.dumps(obj, indent=2) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+def dump_json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _pairs(data, key: str, a_key: str, path: str):
@@ -213,14 +209,10 @@ def load_samples_csv(path: str) -> list:
     return out
 
 
-def dump_samples_csv(pairs, path: str | None, header=("t", "value")) -> str:
+def dump_samples_csv(pairs, header=("t", "value")) -> str:
     lines = [",".join(header)]
     lines += [f"{t!r},{v!r}" for t, v in pairs]
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def load_gridfunction_csv(path: str) -> GridFunction:

@@ -27,13 +27,11 @@ f = w*f1 + (1-w)*f2 with w = f'(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .calculus import _apply_function_stack
 from .divdiff import (
-    TAU_NODE,
     NodeSet,
     _anchored_stack,
     _loewner_stack,
@@ -107,24 +105,6 @@ def sample_nodes(rng: np.random.Generator, n: int, iv: Interval) -> NodeSet:
     raise UsageError(f"could not draw {n} separated nodes in {iv}")
 
 
-def sample_nodes_near_coincident(
-    rng: np.random.Generator, n: int, iv: Interval
-) -> NodeSet:
-    """A cluster of nodes spaced ~10*TAU_NODE apart, to probe limit formulas."""
-    if not iv.bounded:
-        raise UsageError("node sampling needs a bounded interval")
-    gap = 10.0 * TAU_NODE * max(1.0, abs(iv.lo), abs(iv.hi))
-    lo = iv.lo + 0.25 * iv.width
-    hi = iv.hi - 0.25 * iv.width - n * gap
-    base = rng.uniform(lo, max(hi, lo + gap))
-    jitter = rng.uniform(0.0, 1.0, n)
-    ts = base + gap * (np.arange(n) + 0.1 * jitter)
-    return NodeSet(tuple(ts), iv)
-
-
-Sampler = Callable[[np.random.Generator, int, Interval], NodeSet]
-
-
 def _check_inputs(f: ScalarFunction, iv: Interval, trials: int):
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -132,9 +112,8 @@ def _check_inputs(f: ScalarFunction, iv: Interval, trials: int):
         raise UsageError(f"{iv} is not inside the domain of {f.name}")
 
 
-def _draw_node_sets(sampler, seed, tag, n, iv, trials):
-    draw = sampler or sample_nodes
-    sets = [draw(_trial_rng(seed, tag, t), n, iv) for t in range(trials)]
+def _draw_node_sets(seed, tag, n, iv, trials):
+    sets = [sample_nodes(_trial_rng(seed, tag, t), n, iv) for t in range(trials)]
     return sets, np.array([ns.nodes for ns in sets])
 
 
@@ -165,30 +144,20 @@ def _decide(prop: str, f: ScalarFunction, n: int, stack: np.ndarray, witness) ->
 
 
 def check_monotone_order_n(
-    f: ScalarFunction,
-    n: int,
-    iv: Interval,
-    trials: int,
-    seed,
-    sampler: Optional[Sampler] = None,
+    f: ScalarFunction, n: int, iv: Interval, trials: int, seed
 ) -> Verdict:
     """PSD test of [dd1(f, t_i, t_j)] over `trials` random order-n node sets."""
     _check_inputs(f, iv, trials)
-    sets, ts = _draw_node_sets(sampler, seed, _TAG_MONOTONE, n, iv, trials)
+    sets, ts = _draw_node_sets(seed, _TAG_MONOTONE, n, iv, trials)
     return _decide("monotone_order_n", f, n, _loewner_stack(f, ts), sets.__getitem__)
 
 
 def check_convex_order_n(
-    f: ScalarFunction,
-    n: int,
-    iv: Interval,
-    trials: int,
-    seed,
-    sampler: Optional[Sampler] = None,
+    f: ScalarFunction, n: int, iv: Interval, trials: int, seed
 ) -> Verdict:
     """PSD test of [dd2(f, t_i, t_j, t_1)] with the first node as anchor."""
     _check_inputs(f, iv, trials)
-    sets, ts = _draw_node_sets(sampler, seed, _TAG_CONVEX, n, iv, trials)
+    sets, ts = _draw_node_sets(seed, _TAG_CONVEX, n, iv, trials)
     stack = _anchored_stack(f, ts, ts[:, 0])
     return _decide("convex_order_n", f, n, stack, sets.__getitem__)
 

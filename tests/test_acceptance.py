@@ -20,7 +20,8 @@ from loewnerlab.connections import (
     geometric_spec,
     harmonic_spec,
 )
-from loewnerlab.functions import _kernel_table
+from loewnerlab.divdiff import NodeSet, loewner_matrix
+from loewnerlab.functions import _kernel_table, get_function
 from loewnerlab.hermitian import (
     PSD_TOL,
     HermitianMatrix,
@@ -50,10 +51,23 @@ def test_criterion_names_are_unique_and_anchored():
         assert c.anchor.strip()
 
 
+_SENSES = {"<=": lambda v, b: v <= b, ">=": lambda v, b: v >= b, "==": lambda v, b: v == b}
+
+
+def _rederived(record: dict) -> str:
+    """A record's outcome re-derived from its bounds map alone."""
+    ev = record["evidence"]
+    assert ev["bounds"] and set(ev["bounds"]) <= set(ev), record["name"]
+    within = [_SENSES[sense](ev[key], bound) for key, (sense, bound) in ev["bounds"].items()]
+    return "pass" if all(within) else "fail"
+
+
 def test_full_report_passes_and_counts_every_criterion():
     report = run_acceptance(RunConfig(seed=GATE_SEED, trials=2))
     assert report.passed
     assert [r.name for r in report.records] == criterion_names()
+    for record in json.loads(report.to_json())["records"]:
+        assert _rederived(record) == record["outcome"], record["name"]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +166,14 @@ def _ref_kubo_ando(cfg):
         "worst_limit_gap_over_bound": worst_limit,
         "geometric_vs_closed_rel_err": worst_geo,
         "representing_vs_kernel_err": worst_rep,
-        "bounds": {"transformer": 1e-8, "geometric": 1e-6, "representing": 1e-12},
+        "bounds": {
+            "worst_monotonicity_min_eig": [">=", -tol],
+            "worst_transformer_rel_err": ["<=", 1e-8],
+            "worst_downward_chain_min_eig": [">=", -tol],
+            "worst_limit_gap_over_bound": ["<=", 1.0],
+            "geometric_vs_closed_rel_err": ["<=", 1e-6],
+            "representing_vs_kernel_err": ["<=", 1e-12],
+        },
     }
     return ok, ev
 
@@ -169,10 +190,11 @@ def _plus_eps(a, eps):
                          ids=["0-3", "1-3", "1234-3", "1234-full"])
 def test_stacked_kubo_ando_equals_per_trial_reference(seed, trials):
     cfg = RunConfig(seed=seed, trials=trials)
-    ok, ev = acc.crit_kubo_ando(cfg)
+    ev, checks = acc.crit_kubo_ando(cfg)
     ref_ok, ref_ev = _ref_kubo_ando(cfg)
-    assert ok == ref_ok
-    assert json.dumps(ev, sort_keys=True) == json.dumps(ref_ev, sort_keys=True)
+    assert checks.passed() == ref_ok
+    got = {**ev, **checks.worst, "bounds": checks.bounds}
+    assert json.dumps(got, sort_keys=True) == json.dumps(ref_ev, sort_keys=True)
 
 
 def test_kubo_ando_stack_calls_do_not_grow_with_trials(monkeypatch):
@@ -203,10 +225,12 @@ def test_kubo_ando_stack_calls_do_not_grow_with_trials(monkeypatch):
 def test_regularization_evidence_does_not_depend_on_kernel_table_cache():
     cfg = RunConfig(seed=GATE_SEED)
     _kernel_table.cache_clear()
-    cold = acc.crit_regularization(cfg)
+    cold_ev, cold = acc.crit_regularization(cfg)
     assert _kernel_table.cache_info().currsize > 0
-    warm = acc.crit_regularization(cfg)
-    assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
+    warm_ev, warm = acc.crit_regularization(cfg)
+    assert json.dumps([cold_ev, cold.worst, cold.bounds], sort_keys=True) == json.dumps(
+        [warm_ev, warm.worst, warm.bounds], sort_keys=True
+    )
 
 
 def _ref_p1_bounds():
@@ -226,9 +250,74 @@ def _ref_p1_bounds():
 
 
 def test_growth_bounds_evidence_equals_pairwise_reference():
-    ok, ev = acc.crit_p1_bounds(RunConfig(seed=GATE_SEED))
-    assert ok
-    got = (ev["worst_upper_bound_excess"], ev["worst_monotonicity_gap"],
-           ev["worst_slope_bound_excess"])
+    _, checks = acc.crit_p1_bounds(RunConfig(seed=GATE_SEED))
+    assert checks.passed()
+    got = (checks.worst["worst_upper_bound_excess"], checks.worst["worst_monotonicity_gap"],
+           checks.worst["worst_slope_bound_excess"])
     assert got == _ref_p1_bounds()
     assert all(type(v) is float for v in got)
+
+
+# ---------------------------------------------------------------------------
+# The check vocabulary: worst value per check, its bound, the derived outcome
+
+NAN = float("nan")
+
+
+def _observed(method, values, bound):
+    checks = acc._Checks()
+    for v in values:
+        getattr(checks, method)("x", v, bound)
+    return checks
+
+
+def test_checks_keep_the_worst_value_seeded_by_the_first():
+    hi = _observed("at_most", [0.25, 0.75, 0.5], 1.0)
+    assert hi.worst == {"x": 0.75} and hi.bounds == {"x": ["<=", 1.0]} and hi.passed()
+    lo = _observed("at_least", [0.5, -0.25, 0.0], -1.0)
+    assert lo.worst == {"x": -0.25} and lo.bounds == {"x": [">=", -1.0]} and lo.passed()
+    # a first observation below 0 seeds the maximum; no 0.0 start hides it
+    below = _observed("at_most", [-3.0, -5.0], -4.0)
+    assert below.worst == {"x": -3.0} and not below.passed()
+    assert not _observed("at_most", [0.5, 2.0, 0.5], 1.0).passed()
+    assert not _observed("at_least", [0.5, -2.0, 0.5], -1.0).passed()
+
+
+@pytest.mark.parametrize("method,bound", [("at_most", 1.0), ("at_least", -1.0)])
+@pytest.mark.parametrize("values", [[NAN, 0.1, 0.2], [0.1, NAN, 0.2], [0.1, 0.2, NAN]],
+                         ids=["first", "middle", "last"])
+def test_checks_nan_is_the_worst_value_and_fails(method, bound, values):
+    checks = _observed(method, values, bound)
+    assert math.isnan(checks.worst["x"])
+    assert not checks.passed()
+
+
+def test_checks_equal_on_booleans_and_outcome_strings():
+    assert _observed("equal", [True, True], True).passed()
+    miss = _observed("equal", [True, False, True], True)
+    assert miss.worst == {"x": False} and miss.bounds == {"x": ["==", True]}
+    assert not miss.passed()
+    assert _observed("equal", ["fail"], "fail").passed()
+    assert not _observed("equal", ["pass"], "fail").passed()
+
+
+def test_checks_pass_only_when_every_check_does_and_flag_a_new_worst():
+    checks = acc._Checks()
+    assert [checks.at_most("x", v, 1.0) for v in (0.5, 0.25, 0.75, 0.75)] == [
+        True, False, True, False]
+    assert checks.passed()
+    checks.at_least("y", -2.0, -1.0)
+    assert not checks.passed()
+
+
+def test_failing_psd_criterion_keeps_its_worst_case_witness():
+    crit = next(c for c in CRITERIA if c.name == "loewner_psd_certificate")
+    assert "witness" not in run_criterion(crit, RunConfig(seed=GATE_SEED)).evidence
+    # a tiny tolerance fails the certificate on its -5e-14 margin
+    record = run_criterion(crit, RunConfig(seed=GATE_SEED, tol=1e-20))
+    assert record.outcome == _rederived(record.to_obj()) == "fail"
+    w = record.evidence["witness"]
+    ns = NodeSet(tuple(w["nodes"]), acc.IV_MAIN)
+    lam = np.linalg.eigvalsh(loewner_matrix(get_function(w["function"]), ns).entries)
+    margin = float(lam[0]) / float(np.abs(lam).max())
+    assert margin == record.evidence["worst_min_eig_over_norm"] < 0.0

@@ -151,6 +151,31 @@ def test_caratheodory_rejects_bad_initial_weights():
                                initial_weights=np.array([0.5, 0.5]))
 
 
+def _vertex_scale_instance():
+    """Vertices (+-1e8, 0), (0, +-1e8) and the point 0, with the module's own weights."""
+    verts = np.array([[1e8, 0.0], [-1e8, 0.0], [0.0, 1e8], [0.0, -1e8]])
+    res = caratheodory_decompose(verts, np.zeros(2))
+    w = np.zeros(4)
+    w[res.indices] = res.weights
+    return verts, w
+
+
+def test_caratheodory_accepts_its_own_weights_at_vertex_scale():
+    # V^T w rounds at 1e8 * eps: an absolute 1e-9 test refused these weights
+    verts, w = _vertex_scale_instance()
+    assert _norm(verts.T @ w) > 1e-9
+    res = caratheodory_decompose(verts, np.zeros(2), initial_weights=w)
+    assert res.residual <= 1e-15 * 1e8
+
+
+def test_caratheodory_refuses_weights_off_by_a_relative_1e_3_at_vertex_scale():
+    verts, w = _vertex_scale_instance()
+    off = w * np.array([1.0 + 1e-3, 1.0 - 1e-3, 1.0, 1.0])
+    off = off / off.sum()
+    with pytest.raises(UsageError, match="reproduce"):
+        caratheodory_decompose(verts, np.zeros(2), initial_weights=off)
+
+
 def test_caratheodory_input_validation():
     with pytest.raises(UsageError):
         caratheodory_decompose(np.zeros((0, 2)), np.array([0.0, 0.0]))
@@ -299,8 +324,8 @@ def test_stack_walk_ties_match_single_walk(monkeypatch):
 def test_criterion_walks_once_per_support_size(monkeypatch):
     instances = _criterion_instances(1234)
     calls = _count_svd(monkeypatch)
-    ok, _ = crit_choquet(RunConfig(seed=1234))
-    assert ok
+    _, checks = crit_choquet(RunConfig(seed=1234))
+    assert checks.passed()
     # a stack that walks at all takes at most (longest row - d - 1) passes
     bound = 0
     for d in range(1, 7):
@@ -314,16 +339,16 @@ def test_criterion_walks_once_per_support_size(monkeypatch):
 
 def test_criterion_evidence_matches_per_instance_loop():
     cfg = RunConfig(seed=1234, trials=30)
-    ok, ev = crit_choquet(cfg)
+    ev, checks = crit_choquet(cfg)
     worst, largest = 0.0, 0
     for verts, point, w0 in _criterion_draws(1234, 300):
         res = caratheodory_decompose(verts, point, initial_weights=w0)
         worst = max(worst, res.residual)
         largest = max(largest, res.support_size())
         assert res.support_size() <= verts.shape[1] + 1
-    assert ok
+    assert checks.passed()
     assert ev["caratheodory_instances"] == 300
-    assert ev["caratheodory_worst_residual"] == worst
+    assert checks.worst["caratheodory_worst_residual"] == worst
     assert ev["caratheodory_max_support_excess"] == largest
 
 

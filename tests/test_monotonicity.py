@@ -7,7 +7,15 @@ import pytest
 
 import loewnerlab.hermitian as herm
 from loewnerlab import monotonicity as mono
-from loewnerlab.divdiff import dd1, dd2, difference_quotient_transform, loewner_matrix
+from loewnerlab.divdiff import (
+    TAU_NODE,
+    _anchored_stack,
+    _loewner_stack,
+    dd1,
+    dd2,
+    difference_quotient_transform,
+    loewner_matrix,
+)
 from loewnerlab.errors import NumericalFailure, UsageError
 from loewnerlab.functions import ScalarFunction, get_function
 from loewnerlab.hermitian import POSITIVE_AXIS, PSD_TOL, HermitianMatrix, Interval, hermitian_part
@@ -19,7 +27,6 @@ from loewnerlab.monotonicity import (
     derivative_bound_at_one,
     extreme_decomposition,
     sample_nodes,
-    sample_nodes_near_coincident,
     transform_involution,
 )
 
@@ -34,14 +41,6 @@ def test_sample_nodes_separated_and_contained():
         assert np.all((ts > IV.lo) & (ts < IV.hi))
         d = np.abs(ts[:, None] - ts[None, :]) + np.eye(5)
         assert d.min() > 1e-7
-
-
-def test_sample_nodes_near_coincident_cluster():
-    rng = np.random.default_rng(1)
-    ns = sample_nodes_near_coincident(rng, 4, IV)
-    ts = np.array(sorted(ns.nodes))
-    assert np.all((ts > IV.lo) & (ts < IV.hi))
-    assert ts[-1] - ts[0] < 1e-4  # genuinely clustered
 
 
 def test_sqrt_is_monotone_order_2():
@@ -72,14 +71,6 @@ def test_verdict_is_deterministic_in_the_seed():
 def test_exp_fails_monotonicity_order_2():
     v = check_monotone_order_n(get_function("exp"), 2, IV, trials=50, seed=3)
     assert not v.passed
-
-
-def test_near_coincident_sampler_exercises_limit_formulas():
-    v = check_monotone_order_n(
-        get_function("sqrt"), 4, IV, trials=20, seed=5,
-        sampler=sample_nodes_near_coincident,
-    )
-    assert v.passed
 
 
 def test_convexity_square_passes_sqrt_fails():
@@ -241,16 +232,15 @@ def _ref_trials(trials, tag, seed, build):
     return min_seen, witness
 
 
-def _reference(checker, f, n, iv, trials, seed, sampler=None):
-    draw = sampler or sample_nodes
+def _reference(checker, f, n, iv, trials, seed):
     if checker is check_monotone_order_n:
         def build(rng):
-            ns = draw(rng, n, iv)
+            ns = sample_nodes(rng, n, iv)
             return _ref_loewner(f, ns.nodes), ns
         return _ref_trials(trials, mono._TAG_MONOTONE, seed, build)
     if checker is check_convex_order_n:
         def build(rng):
-            ns = draw(rng, n, iv)
+            ns = sample_nodes(rng, n, iv)
             return _ref_anchored(f, ns.nodes, ns.nodes[0]), ns
         return _ref_trials(trials, mono._TAG_CONVEX, seed, build)
     if checker is check_monotone_direct:
@@ -276,9 +266,9 @@ def _witness_bytes(w):
     return np.array(w.nodes).tobytes()
 
 
-def assert_matches_reference(checker, f, n, iv, trials, seed, **kw):
-    v = checker(f, n, iv, trials, seed, **kw)
-    min_seen, witness = _reference(checker, f, n, iv, trials, seed, **kw)
+def assert_matches_reference(checker, f, n, iv, trials, seed):
+    v = checker(f, n, iv, trials, seed)
+    min_seen, witness = _reference(checker, f, n, iv, trials, seed)
     what = f"{checker.__name__}({f.name}, n={n}, seed={seed})"
     assert np.float64(v.min_eig_seen).tobytes() == np.float64(min_seen).tobytes(), what
     assert v.outcome == ("pass" if witness is None else "fail"), what
@@ -304,14 +294,36 @@ def test_batched_checkers_equal_per_trial_loops(checker):
 
 
 @pytest.mark.parametrize("checker", CHECKERS[:2], ids=lambda c: c.__name__)
-def test_batched_order_n_with_near_coincident_sampler_and_transform(checker):
-    f = get_function("sqrt")
-    g = difference_quotient_transform(f, 2.5).negated()
+def test_batched_order_n_with_difference_quotient_transform(checker):
+    g = difference_quotient_transform(get_function("sqrt"), 2.5).negated()
     for seed in (0, 1, 2):
         for n in (2, 4, 8):
-            assert_matches_reference(checker, f, n, IV, 10, seed,
-                                     sampler=sample_nodes_near_coincident)
             assert_matches_reference(checker, g, n, IV, 10, seed)
+
+
+def _near_coincident_rows(rows, n, rng):
+    """Rows of n nodes about 10 * TAU_NODE * scale apart, clustered inside IV:
+    above the coincidence threshold, in the quotients' cancellation band."""
+    gap = 10.0 * TAU_NODE * max(1.0, abs(IV.lo), abs(IV.hi))
+    base = rng.uniform(IV.lo + 0.25 * IV.width, IV.hi - 0.25 * IV.width, (rows, 1))
+    return base + gap * (np.arange(n) + 0.1 * rng.uniform(0.0, 1.0, (rows, n)))
+
+
+def test_stacks_equal_scalar_reference_on_near_coincident_rows():
+    f = get_function("sqrt")
+    g = difference_quotient_transform(f, 2.5).negated()
+    for seed in (0, 1, 2, 5):
+        for n in (2, 4, 8):
+            ts = _near_coincident_rows(10, n, np.random.default_rng((seed, n)))
+            assert np.all(np.diff(ts, axis=1) > TAU_NODE * IV.hi)
+            for h in (f, g):
+                loew = _loewner_stack(h, ts)
+                anch = _anchored_stack(h, ts, ts[:, 0])
+                for k, row in enumerate(ts.tolist()):
+                    assert loew[k].tobytes() == _ref_loewner(h, row).tobytes()
+                    assert anch[k].tobytes() == _ref_anchored(h, row, row[0]).tobytes()
+            # sqrt is operator monotone: its Loewner matrices stay PSD there
+            assert herm.min_eig_scaled(_loewner_stack(f, ts)).min() >= -PSD_TOL
 
 
 class _LargeStepRng:
