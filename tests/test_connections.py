@@ -1,4 +1,4 @@
-"""Operator means built from parallel sums, against closed forms."""
+"""Operator means by parallel sums and by the transfer, against closed forms and mpmath."""
 
 import warnings
 
@@ -234,6 +234,22 @@ def _counting_eigendecompose(monkeypatch):
     return calls
 
 
+def _parallel_route_pair(seed, n):
+    """A pair that every measure evaluates by parallel sums: operands of
+    condition number 1e3 in unrelated bases, or for n = 1, where every
+    operand has condition number 1, spec(C) = {1e160} beyond the transfer's
+    range."""
+    if n == 1:
+        return _herm([[1e-80]]), _herm([[1e80]])
+    return _pair_in_bases(seed, np.geomspace(1.0, 1e3, n), np.geomspace(1e3, 1.0, n))
+
+
+def _parallel_route_stacks(seed, k, n):
+    rng = np.random.default_rng(seed)
+    pairs = [_parallel_route_pair(rng, n) for _ in range(k)]
+    return tuple(np.array([p[i].entries for p in pairs]) for i in (0, 1))
+
+
 @pytest.mark.parametrize("n", [1, 4, 16])
 @pytest.mark.parametrize(
     "spec",
@@ -241,10 +257,28 @@ def _counting_eigendecompose(monkeypatch):
     ids=["arithmetic", "harmonic", "geometric50", "geometric200"],
 )
 def test_evaluate_connection_decomposes_each_operand_once(monkeypatch, spec, n):
-    a, b = _pd_pair(40 + n, n)
+    # on the parallel-sum route; the transfer adds one eigh of C
+    a, b = _parallel_route_pair(40 + n, n)
     calls = _counting_eigendecompose(monkeypatch)
     evaluate_connection(spec, a, b)
     assert calls == [n, n]
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 128])
+def test_transfer_makes_three_decompositions_and_no_inverse(monkeypatch, n):
+    a, b = _pd_pair(45 + n, n)
+    calls = _counting_eigendecompose(monkeypatch)
+    inverses = []
+    inv = np.linalg.inv
+
+    def counted(m):
+        inverses.append(m.shape)
+        return inv(m)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    evaluate_connection(geometric_spec(200), a, b)
+    assert calls == [n, n, n]
+    assert inverses == []
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])
@@ -305,13 +339,13 @@ def _mp_connection(mu, a, b):
 @pytest.mark.parametrize("seed", range(6))
 def test_parallel_sums_stay_accurate_near_the_cap(seed):
     # cond(A) = cond(B) = 1e8 in different bases: the parallel-sum route keeps
-    # 1.0e-10 at worst, where the congruence A^1/2 f(A^-1/2 B A^-1/2) A^1/2 loses ~1e-4
+    # 8.0e-12 at worst, where the congruence A^1/2 f(A^-1/2 B A^-1/2) A^1/2 loses ~1e-4
     spectrum = np.geomspace(1.0, 1e8, 4)
     a, b = _pair_in_bases(seed, spectrum, spectrum)
     for mu in (harmonic_spec(), geometric_spec(50)):
         ref = _mp_connection(mu, a, b)
         got = evaluate_connection(mu, a, b).entries
-        assert np.linalg.norm(got - ref, 2) <= 1e-9 * np.linalg.norm(ref, 2)
+        assert np.linalg.norm(got - ref, 2) <= 2e-11 * np.linalg.norm(ref, 2)
     with pytest.raises(NumericalFailure):
         geometric_mean_closed_form(a, b)
 
@@ -361,7 +395,7 @@ def test_stack_guards_name_the_operand_of_one_bad_slice(side):
 
 @pytest.mark.parametrize("k", [1, 7])
 def test_stack_calls_decompose_each_operand_stack_once(monkeypatch, k):
-    a, b = _pd_stacks(80, k, 3)
+    a, b = _parallel_route_stacks(80, k, 3)
     calls = _counting_eigendecompose(monkeypatch)
     connections._connection_stack(geometric_spec(50), a, b)
     assert calls == [3, 3]
@@ -379,7 +413,75 @@ def test_parallel_sums_stay_accurate_near_the_cap_as_one_stack():
         rows = connections._connection_stack(mu, a, b)
         for (pa, pb), got in zip(pairs, rows):
             ref = _mp_connection(mu, pa, pb)
-            assert np.linalg.norm(got - ref, 2) <= 1e-9 * np.linalg.norm(ref, 2)
+            assert np.linalg.norm(got - ref, 2) <= 2e-11 * np.linalg.norm(ref, 2)
+
+
+def _mp_transfer(mu, a, b):
+    """A^1/2 f(A^-1/2 B A^-1/2) A^1/2 in 40 digits, f = sum w kernel01(lam, .)
+    over every atom of mu; mpmath's eighe decomposes A and C."""
+    with mp.workdps(40):
+        lam, u = mp.eighe(mp.matrix(a.entries.tolist()))
+        root = u * mp.diag([mp.sqrt(x) for x in lam]) * u.H
+        root_inv = u * mp.diag([1 / mp.sqrt(x) for x in lam]) * u.H
+        c = root_inv * mp.matrix(b.entries.tolist()) * root_inv
+        gam, v = mp.eighe((c + c.H) / 2)
+        atoms = [(mp.mpf(lk), mp.mpf(w)) for lk, w in mu.atoms]
+        f = [mp.fsum(w * g / (lk + (1 - lk) * g) for lk, w in atoms) for g in gam]
+        out = root * v * mp.diag(f) * v.H * root
+        return np.array(out.tolist(), dtype=np.complex128)
+
+
+def test_mp_transfer_oracle_equals_the_mp_parallel_sums():
+    mu = _fitted_sqrt_measure()
+    a, b = _pair_in_bases(130, np.geomspace(1.0, 1e3, 2), np.geomspace(50.0, 1.0, 2))
+    ref = _mp_connection(mu, a, b)
+    assert np.linalg.norm(_mp_transfer(mu, a, b) - ref, 2) <= 1e-25 * np.linalg.norm(ref, 2)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_both_routes_against_mpmath_across_the_switch(n):
+    # max cond at half the cap and just below it takes the transfer, at twice
+    # the cap and at 1e4 the parallel sums
+    cap = connections._TRANSFER_CAP
+    mu = geometric_spec(50)
+    for i, (cond, fast) in enumerate(((cap / 2, True), (0.999 * cap, True),
+                                      (2 * cap, False), (1e4, False))):
+        a, b = _pair_in_bases(140 + 4 * n + i, np.geomspace(1.0, cond, n),
+                              3.0 * np.geomspace(cond, 1.0, n))
+        lam_a, _ = connections._pd_eigh(a.entries[None], "left operand")
+        lam_b, _ = connections._pd_eigh(b.entries[None], "right operand")
+        assert connections._transfer_rows(lam_a, lam_b).tolist() == [fast]
+        ref = _mp_transfer(mu, a, b)
+        got = evaluate_connection(mu, a, b).entries
+        bound = 1e-13 if fast else 2e-11
+        assert np.linalg.norm(got - ref, 2) <= bound * np.linalg.norm(ref, 2)
+
+
+def test_mixed_stack_rows_equal_evaluate_connection():
+    cap = connections._TRANSFER_CAP
+    conds = (1e6, 2.0, 1e3, cap / 2, 2.0, 1e6)
+    pairs = [_pair_in_bases(150 + i, np.geomspace(1.0, c, 4), np.geomspace(c, 1.0, 4))
+             for i, c in enumerate(conds)]
+    a = np.array([p[0].entries for p in pairs])
+    b = np.array([p[1].entries for p in pairs])
+    lam_a, _ = connections._pd_eigh(a, "left operand")
+    lam_b, _ = connections._pd_eigh(b, "right operand")
+    assert connections._transfer_rows(lam_a, lam_b).tolist() == [c <= cap for c in conds]
+    for mu in (geometric_spec(50), geometric_spec(200), _fitted_sqrt_measure()):
+        rows = connections._connection_stack(mu, a, b)
+        for row, (x, y) in zip(rows, pairs):
+            assert row.tobytes() == evaluate_connection(mu, x, y).entries.tobytes()
+
+
+def test_a_pair_whose_transfer_overflows_takes_the_parallel_sums(monkeypatch):
+    # both operands have condition number 1, but A^-1/2 B A^-1/2 = 1e400 I
+    a, b = _herm(1e-200 * np.eye(2)), _herm(1e200 * np.eye(2))
+    with pytest.raises(NumericalFailure, match=r"^A\^-1/2 B A\^-1/2 is not finite$"):
+        geometric_mean_closed_form(a, b)
+    calls = _counting_eigendecompose(monkeypatch)
+    out = evaluate_connection(geometric_spec(50), a, b).entries
+    assert calls == [2, 2]
+    assert np.all(np.isfinite(out)) and np.linalg.eigvalsh(out)[0] > 0.0
 
 
 def test_inverse_overflow_is_a_numerical_failure_naming_the_operand():
@@ -427,11 +529,11 @@ def test_parallel_sum_slices_stay_within_the_operand_condition(n):
                               np.geomspace(cond_b, 1.0, n))
         if trial % 3 == 0:
             b = a
-        lam_a, u_a = connections._pd_eigh(a.entries[None], "left operand")
-        lam_b, u_b = connections._pd_eigh(b.entries[None], "right operand")
+        lam_a, _ = connections._pd_eigh(a.entries[None], "left operand")
+        lam_b, _ = connections._pd_eigh(b.entries[None], "right operand")
         cap = max(lam_a[0, -1] / lam_a[0, 0], lam_b[0, -1] / lam_b[0, 0])
-        stack = ((1.0 - lam) * connections._inverse(lam_a, u_a)
-                 + lam * connections._inverse(lam_b, u_b))
+        stack = ((1.0 - lam) * hermitian_part(np.linalg.inv(a.entries[None]))
+                 + lam * hermitian_part(np.linalg.inv(b.entries[None])))
         ev = np.linalg.eigvalsh(stack)
         cond = ev[:, -1] / ev[:, 0]
         assert ev.min() > 0.0
@@ -455,20 +557,26 @@ def test_rounding_over_the_cap_is_refused_by_the_flagged_slice_check(monkeypatch
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("k", [1, 7])
 def test_well_conditioned_stack_is_never_decomposed(monkeypatch, k, n):
-    a, b = _pd_stacks(100 + n, k, n)
+    # cond 1e3 is far from CONDITION_CAP but takes the parallel-sum route
+    a, b = _parallel_route_stacks(100 + n, k, n)
     calls = _counting_linalg(monkeypatch)
     connections._connection_stack(geometric_spec(200), a, b)
     assert calls == {"eigh": 2, "eigvalsh": 0}
 
 
 def test_failed_stack_inverse_is_a_numerical_failure(monkeypatch):
-    def singular(m):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "inv", singular)
+    # the operand stacks are (k, n, n), the parallel-sum stack (k, atoms, n, n)
+    inv = np.linalg.inv
     a, b = _pd_pair(110)
-    with pytest.raises(NumericalFailure, match="parallel-sum stack: Singular matrix"):
-        evaluate_connection(harmonic_spec(), a, b)
+    for failing in (4, 3):
+        def singular(m, _ndim=failing):
+            if m.ndim == _ndim:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(NumericalFailure, match="parallel-sum stack: Singular matrix"):
+            evaluate_connection(harmonic_spec(), a, b)
 
 
 def test_closed_form_overflow_names_the_inner_matrix():
