@@ -59,6 +59,7 @@ from .hermitian import (
     _build_ordered_pairs,
     _draw_hermitian,
     _draw_ordered_pair,
+    _trial_streams,
     hermitian_part,
     min_eig_scaled,
     random_hermitian,
@@ -83,10 +84,6 @@ from .report import CheckRecord, Report, RunConfig, make_report
 
 IV_MAIN = Interval(0.1, 10.0)
 IV_PAIRS = Interval(0.5, 4.0)
-
-
-def _rng(cfg: RunConfig, *tags: int) -> np.random.Generator:
-    return np.random.default_rng((cfg.seed,) + tags)
 
 
 def _specnorm(m: np.ndarray):
@@ -160,8 +157,9 @@ def crit_loewner_psd(cfg: RunConfig):
     witness = None
     for fi, nm in enumerate(names):
         f = get_function(nm)
+        stream = _trial_streams((cfg.seed, 101, fi), trials)
         for t in range(trials):
-            ns = sample_nodes(_rng(cfg, 101, fi, t), 5, IV_MAIN)
+            ns = sample_nodes(stream(t), 5, IV_MAIN)
             lam = np.linalg.eigvalsh(loewner_matrix(f, ns).entries)
             margin = float(lam[0]) / float(np.abs(lam).max())
             if checks.at_least("worst_min_eig_over_norm", margin, -tol):
@@ -201,8 +199,9 @@ def crit_chain_rule(cfg: RunConfig):
     paths = cfg.loop(50)
     h1, h2 = 1e-5, 1e-4
     checks = _Checks()
+    stream = _trial_streams((cfg.seed, 103), paths)
     for t in range(paths):
-        rng = _rng(cfg, 103, t)
+        rng = stream(t)
         f = fs[t % len(fs)]
         n = int(rng.integers(2, 7))
         a = random_hermitian(n, Interval(1.0, 4.0), rng)
@@ -268,8 +267,9 @@ def crit_anchor_identity(cfg: RunConfig):
     gap = 0.05
     checks = _Checks()
     fs = [get_function("sqrt"), get_function("kernel:0.5")]
+    stream = _trial_streams((cfg.seed, 105), sets)
     for t in range(sets):
-        rng = _rng(cfg, 105, t)
+        rng = stream(t)
         f = fs[t % 2]
         n = int(rng.integers(2, 7))
         ts = _separated_nodes(rng, n, IV_MAIN, gap)
@@ -361,8 +361,9 @@ def _draws_by_order(cfg: RunConfig, tags: tuple, trials: int, n_lo: int, draw) -
     {n: stacked draws}, trials in order within each group.
     """
     groups = {}
+    stream = _trial_streams((cfg.seed,) + tags, trials)
     for t in range(trials):
-        rng = _rng(cfg, *tags, t)
+        rng = stream(t)
         n = int(rng.integers(n_lo, 5))
         groups.setdefault(n, []).append(draw(n, rng))
     return {n: [np.array(x) for x in zip(*ds)] for n, ds in sorted(groups.items())}
@@ -514,8 +515,9 @@ def crit_regularization(cfg: RunConfig):
 def crit_choquet(cfg: RunConfig):
     grids = cfg.loop(100)
     checks = _Checks()
+    stream = _trial_streams((cfg.seed, 110, 1), grids)
     for t in range(grids):
-        rng = _rng(cfg, 110, 1, t)
+        rng = stream(t)
         npts = int(rng.integers(5, 41))
         xs = np.cumsum(rng.uniform(0.1, 1.0, npts))
         ys = rng.normal(0.0, 1.0, npts)
@@ -544,8 +546,9 @@ def crit_choquet(cfg: RunConfig):
 
     cara_n = 10 * cfg.trials if cfg.trials is not None else 1000
     instances = []
+    stream = _trial_streams((cfg.seed, 110, 2), cara_n)
     for t in range(cara_n):
-        rng = _rng(cfg, 110, 2, t)
+        rng = stream(t)
         d = 1 + t % 6
         m = int(rng.integers(d + 2, 31))
         verts = rng.normal(0.0, 1.0, (m, d))

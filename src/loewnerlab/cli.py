@@ -95,6 +95,7 @@ def cmd_check(args) -> int:
     if args.order < 1 or args.order > args.order_cap:
         raise UsageError(f"--order must be in [1, {args.order_cap}], got {args.order}")
     iv = _parse_interval(args.interval)
+    cfg = RunConfig(seed=args.seed, trials=args.trials, order_cap=args.order_cap)
     checker, anchor = _CHECKERS[args.property]
     verdict = checker(f, args.order, iv, args.trials, args.seed)
     record = CheckRecord(
@@ -111,7 +112,6 @@ def cmd_check(args) -> int:
             "witness": _witness_obj(verdict.witness),
         },
     )
-    cfg = RunConfig(seed=args.seed, trials=args.trials, order_cap=args.order_cap)
     report = make_report(__version__, cfg, [record])
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1

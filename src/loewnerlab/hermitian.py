@@ -11,7 +11,9 @@ matrix needs from the generator, and a build step, which turns draws into
 matrices over any number of leading axes.  The randomized checks draw each
 trial from its own substream and build the whole (trials, n, n) stack at
 once; the single-matrix functions run the same build on one draw.  The
-checked eigendecomposition works on stacks in the same way.
+substreams are np.random.default_rng(prefix + (t,)) bit for bit, seeded for
+every trial in one vectorized pass (_trial_streams).  The checked
+eigendecomposition works on stacks in the same way.
 
 Complex entries are supported throughout; real symmetric arrays are accepted
 as a special case and stored as complex.
@@ -237,6 +239,118 @@ def _resolve_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+# numpy's SeedSequence pool mixing and PCG64 seeding constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+#: Seeds the reused bit generator once; every stream overwrites its state.
+_PLACEHOLDER_SEED = np.random.SeedSequence(0)
+
+
+def _seed_int(value) -> int:
+    """value as an int; a non-integral value is refused, not truncated."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != value:
+        raise UsageError(f"seed must be an integer, got {value!r}")
+    return out
+
+
+def _uint32_words(value: int) -> list:
+    """SeedSequence's little-endian 32-bit words of a non-negative int."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix, whose hash constant advances on every call.
+
+    It works on uint32 arrays, which wrap modulo 2**32 as the reference does.
+    """
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _seed_pools(columns: list) -> list:
+    """SeedSequence's 4-word entropy pool, one row per trial.
+
+    columns holds the entropy words as uint32 arrays, shape (1,) for a word
+    shared by every trial and (count,) for one that varies.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(columns[i] if i < len(columns) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in columns[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _trial_streams(prefix: tuple, count: int):
+    """stream(t) for t in range(count): bit for bit np.random.default_rng(prefix + (t,)).
+
+    Runs SeedSequence's pool mixing and generate_state(4, uint64) for every
+    trial at once, PCG64's srandom on 128-bit ints, and sets the state of one
+    reused generator per call of stream.  So the generator stream(t) returns
+    is valid until the next call of stream; callers draw trials in order.
+    """
+    if any(part < 0 for part in prefix):
+        raise UsageError(f"seed parts must be non-negative, got {prefix}")
+    columns = [np.array([w], dtype=np.uint32) for p in prefix for w in _uint32_words(p)]
+    columns.append(np.arange(count, dtype=np.uint32))
+    pool = _seed_pools(columns)
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # generate_state pairs its words little-endian into four uint64 values
+    hi_state, lo_state, hi_seq, lo_seq = (
+        (words[k] | words[k + 1] << np.uint64(32)).tolist()
+        for k in (0, 2, 4, 6)
+    )
+    # srandom from state 0: inc = 2 seq + 1, two LCG steps around adding the seed
+    incs = [(((h << 64 | l) << 1) | 1) & _MASK128 for h, l in zip(hi_seq, lo_seq)]
+    states = [
+        ((inc + (h << 64 | l)) * _PCG_MULT + inc) & _MASK128
+        for inc, h, l in zip(incs, hi_state, lo_state)
+    ]
+    rng = np.random.Generator(np.random.PCG64(_PLACEHOLDER_SEED))
+    bitgen = rng.bit_generator
+
+    def stream(t: int) -> np.random.Generator:
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": states[t], "inc": incs[t]},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
+
+    return stream
 
 
 def _draw_hermitian(n: int, iv: Interval, rng, margin: float = 0.02):

@@ -8,9 +8,13 @@ on every sampled instance or returns the earliest counterexample as a witness:
 * check_monotone_direct       -- f(A) <= f(B) on random ordered pairs
 * check_midpoint_concavity    -- (f(A)+f(B))/2 <= f((A+B)/2) on random pairs
 
-Each trial draws its inputs from its own RNG substream derived from
-(seed, tag, index), so every trial can be reproduced on its own and verdicts
-are reproducible bit for bit.  A checker then works in three steps: draw
+Each trial draws its inputs from its own RNG substream: trial t of the
+checker with tag g (11 to 14 in the order above) draws from exactly
+np.random.default_rng(seed_tuple + (g, t)), where seed_tuple is the seed, or
+the tuple of seeds, as non-negative ints.  So every trial can be reproduced
+on its own with plain numpy, and verdicts are reproducible bit for bit.  The
+streams of all trials are seeded in one vectorized pass
+(hermitian._trial_streams).  A checker then works in three steps: draw
 every trial, build the (trials, n, n) stack of matrices to test (one
 broadcast, or one QR and one eigendecomposition for the whole stack), and
 decide with one eigvalsh of that stack.  A non-finite entry in the stack is a
@@ -36,6 +40,7 @@ from .divdiff import (
     _anchored_stack,
     _loewner_stack,
     _near,
+    _near_arrays,
     difference_quotient_transform,
 )
 from .errors import NumericalFailure, UsageError
@@ -49,6 +54,8 @@ from .hermitian import (
     _draw_hermitian,
     _draw_ordered_pair,
     _require_hermitian,
+    _seed_int,
+    _trial_streams,
     min_eig_scaled,
 )
 
@@ -85,13 +92,12 @@ class Verdict:
 
 
 def _seed_tuple(seed) -> tuple:
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(s) for s in seed)
-    return (int(seed),)
+    parts = seed if isinstance(seed, (tuple, list)) else (seed,)
+    return tuple(_seed_int(s) for s in parts)
 
 
-def _trial_rng(seed, tag: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(_seed_tuple(seed) + (tag, trial))
+def _streams(seed, tag: int, trials: int):
+    return _trial_streams(_seed_tuple(seed) + (tag,), trials)
 
 
 def sample_nodes(rng: np.random.Generator, n: int, iv: Interval) -> NodeSet:
@@ -112,9 +118,32 @@ def _check_inputs(f: ScalarFunction, iv: Interval, trials: int):
         raise UsageError(f"{iv} is not inside the domain of {f.name}")
 
 
-def _draw_node_sets(seed, tag, n, iv, trials):
-    sets = [sample_nodes(_trial_rng(seed, tag, t), n, iv) for t in range(trials)]
-    return sets, np.array([ns.nodes for ns in sets])
+def _draw_node_sets(seed, tag, n, iv, trials) -> np.ndarray:
+    """The (trials, n) nodes sample_nodes draws from each trial's stream.
+
+    Every trial's first draw is tested at once; only trials with a near pair
+    replay their stream through sample_nodes, whose redraws follow the
+    rejected draw.  The first trial, in trial order, that fails to draw or
+    has a node outside iv raises the UsageError the per-trial loop raised.
+    """
+    stream = _streams(seed, tag, trials)
+    if not iv.bounded:
+        raise UsageError("node sampling needs a bounded interval")
+    ts = np.array([stream(t).uniform(iv.lo, iv.hi, n) for t in range(trials)])
+    i, j = np.triu_indices(n, 1)
+    near = _near_arrays(ts[:, i], ts[:, j]).any(axis=1)
+    # an empty node set is refused like a node outside iv
+    ok = near | (((iv.lo < ts) & (ts < iv.hi)).all(axis=1) & (n > 0))
+    stop = trials if ok.all() else int(np.argmin(ok))
+    for t in np.flatnonzero(near[:stop]):
+        ts[t] = sample_nodes(stream(t), n, iv).nodes
+    if stop < trials:
+        NodeSet(tuple(ts[stop]), iv)  # raises for the first offending node
+    return ts
+
+
+def _node_set(ts: np.ndarray, iv: Interval):
+    return lambda k: NodeSet(tuple(ts[k]), iv)
 
 
 def _decide(prop: str, f: ScalarFunction, n: int, stack: np.ndarray, witness) -> Verdict:
@@ -148,8 +177,8 @@ def check_monotone_order_n(
 ) -> Verdict:
     """PSD test of [dd1(f, t_i, t_j)] over `trials` random order-n node sets."""
     _check_inputs(f, iv, trials)
-    sets, ts = _draw_node_sets(seed, _TAG_MONOTONE, n, iv, trials)
-    return _decide("monotone_order_n", f, n, _loewner_stack(f, ts), sets.__getitem__)
+    ts = _draw_node_sets(seed, _TAG_MONOTONE, n, iv, trials)
+    return _decide("monotone_order_n", f, n, _loewner_stack(f, ts), _node_set(ts, iv))
 
 
 def check_convex_order_n(
@@ -157,9 +186,9 @@ def check_convex_order_n(
 ) -> Verdict:
     """PSD test of [dd2(f, t_i, t_j, t_1)] with the first node as anchor."""
     _check_inputs(f, iv, trials)
-    sets, ts = _draw_node_sets(seed, _TAG_CONVEX, n, iv, trials)
+    ts = _draw_node_sets(seed, _TAG_CONVEX, n, iv, trials)
     stack = _anchored_stack(f, ts, ts[:, 0])
-    return _decide("convex_order_n", f, n, stack, sets.__getitem__)
+    return _decide("convex_order_n", f, n, stack, _node_set(ts, iv))
 
 
 def _pair(a: np.ndarray, b: np.ndarray):
@@ -171,8 +200,8 @@ def check_monotone_direct(
 ) -> Verdict:
     """f(A) <= f(B) on random ordered pairs A <= B with spectra in iv."""
     _check_inputs(f, iv, trials)
-    draws = [_draw_ordered_pair(n, iv, _trial_rng(seed, _TAG_DIRECT, t))
-             for t in range(trials)]
+    stream = _streams(seed, _TAG_DIRECT, trials)
+    draws = [_draw_ordered_pair(n, iv, stream(t)) for t in range(trials)]
     a, b = _build_ordered_pairs(iv, *(np.array(x) for x in zip(*draws)))
     fb, fa = _apply_function_stack(f, b), _apply_function_stack(f, a)
     return _decide("monotone_direct", f, n, fb - fa, _pair(a, b))
@@ -183,9 +212,10 @@ def check_midpoint_concavity(
 ) -> Verdict:
     """(f(A) + f(B))/2 <= f((A+B)/2) on independent random pairs."""
     _check_inputs(f, iv, trials)
+    stream = _streams(seed, _TAG_MIDPOINT, trials)
     draws = []
     for t in range(trials):
-        rng = _trial_rng(seed, _TAG_MIDPOINT, t)
+        rng = stream(t)
         draws.append(_draw_hermitian(n, iv, rng) + _draw_hermitian(n, iv, rng))
     lam_a, z_a, lam_b, z_b = (np.array(x) for x in zip(*draws))
     a, b = _build_hermitian(lam_a, z_a), _build_hermitian(lam_b, z_b)

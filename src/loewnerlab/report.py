@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
+from .hermitian import _seed_int
 
 #: Hard ceiling on Loewner-matrix order in CLI checks; desk-scale contract.
 DEFAULT_ORDER_CAP = 8
@@ -36,12 +37,10 @@ class RunConfig:
     order_cap: int = DEFAULT_ORDER_CAP
 
     def __post_init__(self):
-        try:
-            seed = int(self.seed)
-        except (TypeError, ValueError):
-            raise UsageError(f"seed must be an integer, got {self.seed!r}") from None
-        if not -(2**63) <= seed < 2**64:
-            raise UsageError(f"seed must fit in 64 bits, got {seed}")
+        seed = _seed_int(self.seed)
+        # the trial streams are seeded by numpy's SeedSequence, which refuses negatives
+        if not 0 <= seed < 2**64:
+            raise UsageError(f"seed must be in [0, 2**64), got {seed}")
         object.__setattr__(self, "seed", seed)
         if self.trials is not None and int(self.trials) < 1:
             raise UsageError(f"trials must be >= 1, got {self.trials}")

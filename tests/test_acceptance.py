@@ -92,7 +92,7 @@ def _ref_kubo_ando(cfg):
     worst_limit = 0.0
     for si, (name, spec) in enumerate(specs):
         for t in range(trials):
-            rng = acc._rng(cfg, 108, si, t)
+            rng = np.random.default_rng((cfg.seed, 108, si, t))
             n = int(rng.integers(1, 5))
 
             a, a2 = random_ordered_pair(n, acc.IV_PAIRS, rng)
@@ -132,7 +132,7 @@ def _ref_kubo_ando(cfg):
     geo = geometric_spec(200)
     worst_geo = 0.0
     for t in range(20):
-        rng = acc._rng(cfg, 108, 9, t)
+        rng = np.random.default_rng((cfg.seed, 108, 9, t))
         n = int(rng.integers(2, 5))
         a = random_hermitian(n, acc.IV_PAIRS, rng)
         b = random_hermitian(n, acc.IV_PAIRS, rng)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import loewnerlab
+from loewnerlab import monotonicity as mono
 from loewnerlab.cli import main
 from loewnerlab.connections import geometric_mean_closed_form
 from loewnerlab.hermitian import HermitianMatrix
@@ -500,3 +501,20 @@ def test_version_flag(capsys):
     assert exc_info.value.code == 0
     out, _ = capsys.readouterr()
     assert "loewnerlab" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--trials", "1", "--criteria", "refutation_witnesses"),
+    ("check", "sqrt"),
+    ("check", "sqrt", "--property", "monotone-direct"),
+])
+def test_seed_outside_its_range_is_a_usage_error(capsys, monkeypatch, argv):
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the seed was checked")
+
+    monkeypatch.setattr(mono, "_trial_streams", no_trials)
+    for seed in ("-1", str(2**64)):
+        code, out, err = run(capsys, *argv, "--seed", seed)
+        assert code == 2, err
+        assert out == ""
+        assert "seed must be in [0, 2**64)" in err

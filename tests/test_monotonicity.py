@@ -220,11 +220,15 @@ def _ref_apply(f, a):
     return HermitianMatrix(hermitian_part(u @ np.diag(vals) @ u.conj().T))
 
 
-def _ref_trials(trials, tag, seed, build):
-    """(min_eig_seen, witness) of a per-trial loop; build(rng) -> (matrix, inputs)."""
+def _ref_trials(trials, tag, seed, build, wrap=lambda rng: rng):
+    """(min_eig_seen, witness) of a per-trial loop; build(rng) -> (matrix, inputs).
+
+    Trial t draws from plain np.random.default_rng(seeds + (tag, t)).
+    """
+    seeds = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     min_seen, witness = np.inf, None
     for t in range(trials):
-        m, inputs = build(mono._trial_rng(seed, tag, t))
+        m, inputs = build(wrap(np.random.default_rng(seeds + (tag, t))))
         scaled = _ref_min_eig_scaled(m)
         min_seen = min(min_seen, scaled)
         if not scaled >= -PSD_TOL and witness is None:
@@ -232,22 +236,22 @@ def _ref_trials(trials, tag, seed, build):
     return min_seen, witness
 
 
-def _reference(checker, f, n, iv, trials, seed):
+def _reference(checker, f, n, iv, trials, seed, wrap):
     if checker is check_monotone_order_n:
         def build(rng):
             ns = sample_nodes(rng, n, iv)
             return _ref_loewner(f, ns.nodes), ns
-        return _ref_trials(trials, mono._TAG_MONOTONE, seed, build)
+        return _ref_trials(trials, mono._TAG_MONOTONE, seed, build, wrap)
     if checker is check_convex_order_n:
         def build(rng):
             ns = sample_nodes(rng, n, iv)
             return _ref_anchored(f, ns.nodes, ns.nodes[0]), ns
-        return _ref_trials(trials, mono._TAG_CONVEX, seed, build)
+        return _ref_trials(trials, mono._TAG_CONVEX, seed, build, wrap)
     if checker is check_monotone_direct:
         def build(rng):
             a, b = _ref_ordered_pair(n, iv, rng)
             return (_ref_apply(f, b) - _ref_apply(f, a)).entries, (a, b)
-        return _ref_trials(trials, mono._TAG_DIRECT, seed, build)
+        return _ref_trials(trials, mono._TAG_DIRECT, seed, build, wrap)
 
     def build(rng):
         a, b = _ref_hermitian(n, iv, rng), _ref_hermitian(n, iv, rng)
@@ -255,7 +259,7 @@ def _reference(checker, f, n, iv, trials, seed):
         half_sum = HermitianMatrix((_ref_apply(f, a) + _ref_apply(f, b)).entries * 0.5)
         gap = _ref_apply(f, mid) - half_sum
         return gap.entries, (a, b)
-    return _ref_trials(trials, mono._TAG_MIDPOINT, seed, build)
+    return _ref_trials(trials, mono._TAG_MIDPOINT, seed, build, wrap)
 
 
 def _witness_bytes(w):
@@ -266,9 +270,9 @@ def _witness_bytes(w):
     return np.array(w.nodes).tobytes()
 
 
-def assert_matches_reference(checker, f, n, iv, trials, seed):
+def assert_matches_reference(checker, f, n, iv, trials, seed, wrap=lambda rng: rng):
     v = checker(f, n, iv, trials, seed)
-    min_seen, witness = _reference(checker, f, n, iv, trials, seed)
+    min_seen, witness = _reference(checker, f, n, iv, trials, seed, wrap)
     what = f"{checker.__name__}({f.name}, n={n}, seed={seed})"
     assert np.float64(v.min_eig_seen).tobytes() == np.float64(min_seen).tobytes(), what
     assert v.outcome == ("pass" if witness is None else "fail"), what
@@ -341,8 +345,13 @@ class _LargeStepRng:
 
 
 def test_batched_ordered_pairs_with_bisection_fallback(monkeypatch):
-    trial_rng = mono._trial_rng
-    monkeypatch.setattr(mono, "_trial_rng", lambda *a: _LargeStepRng(trial_rng(*a)))
+    trial_streams = mono._trial_streams
+
+    def large_step_streams(prefix, count):
+        stream = trial_streams(prefix, count)
+        return lambda t: _LargeStepRng(stream(t))
+
+    monkeypatch.setattr(mono, "_trial_streams", large_step_streams)
     calls = []
     spectrum_in = herm._spectrum_in
     monkeypatch.setattr(herm, "_spectrum_in",
@@ -351,7 +360,7 @@ def test_batched_ordered_pairs_with_bisection_fallback(monkeypatch):
         for seed in (0, 5):
             for n in (1, 3):
                 assert_matches_reference(check_monotone_direct, get_function(name),
-                                         n, Interval(0.5, 4.0), 8, seed)
+                                         n, Interval(0.5, 4.0), 8, seed, _LargeStepRng)
     assert 2 in calls  # single pairs were bisected after the batched check
 
 
@@ -408,3 +417,100 @@ def test_sample_nodes_equals_reference_loop():
             ns = sample_nodes(np.random.default_rng(seed), n, iv)
             ref = _ref_sample_nodes(np.random.default_rng(seed), n, iv)
             assert np.array(ns.nodes).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("checker", CHECKERS[:2], ids=lambda c: c.__name__)
+def test_batched_node_draws_replay_redraws_on_a_tight_interval(monkeypatch, checker):
+    tight = Interval(1.0, 1.0 + 4e-7)  # near pairs are common: trials redraw
+    f = get_function("sqrt")
+    requested = []
+    trial_streams = mono._trial_streams
+
+    def recording_streams(prefix, count):
+        stream = trial_streams(prefix, count)
+        return lambda t: requested.append(t) or stream(t)
+
+    monkeypatch.setattr(mono, "_trial_streams", recording_streams)
+    replays = refusals = 0
+    for n in (2, 3, 4, 5):
+        for seed in (0, 1, 2):
+            requested.clear()
+            started = []
+            try:
+                _reference(checker, f, n, tight, 12, seed,
+                           lambda rng: started.append(rng) or rng)
+            except UsageError as exc:
+                # 100 failed redraws refuse the run at the same trial
+                with pytest.raises(UsageError) as got:
+                    checker(f, n, tight, 12, seed)
+                assert str(got.value) == str(exc)
+                assert requested[-1] == len(started) - 1
+                refusals += 1
+            else:
+                assert_matches_reference(checker, f, n, tight, 12, seed)
+            replays += len(requested) > 12
+    assert replays and refusals
+
+
+def test_node_outside_the_interval_is_refused_like_the_per_trial_loop():
+    # uniform() on an interval one ulp wide returns an endpoint
+    iv = Interval(1.0, float(np.nextafter(1.0, 2.0)))
+    for n, iv_n, reason in ((1, iv, "outside open interval"), (0, IV, "nonempty")):
+        with pytest.raises(UsageError, match=reason) as want:
+            sample_nodes(np.random.default_rng((3, mono._TAG_MONOTONE, 0)), n, iv_n)
+        with pytest.raises(UsageError) as got:
+            check_monotone_order_n(get_function("sqrt"), n, iv_n, 5, 3)
+        assert str(got.value) == str(want.value)
+
+
+ORACLE_PREFIXES = [(0,), (1234, 11), (2**32, 12), (2**64 - 1, 13), (1234, 104, 3, 7)]
+
+
+@pytest.mark.parametrize("prefix", ORACLE_PREFIXES, ids=str)
+def test_trial_streams_equal_default_rng_bit_for_bit(prefix):
+    stream = herm._trial_streams(prefix, 300)
+    for t in range(300):
+        ref = np.random.default_rng(prefix + (t,))
+        rng = stream(t)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.uniform(0.1, 10.0, 4).tobytes() == ref.uniform(0.1, 10.0, 4).tobytes()
+        assert rng.standard_normal((2, 3)).tobytes() == ref.standard_normal((2, 3)).tobytes()
+
+
+def test_trial_streams_refuse_negative_seed_parts():
+    for prefix in ((-1,), (1234, -11), (5, 12, -(2**70))):
+        with pytest.raises(UsageError, match="non-negative"):
+            herm._trial_streams(prefix, 3)
+
+
+@pytest.mark.parametrize("checker", CHECKERS, ids=lambda c: c.__name__)
+def test_checkers_refuse_negative_and_non_integral_seeds(checker):
+    f = get_function("square")
+    for seed in (-1, (1234, -2), 1.5, (1234, 2.7), "7", math.nan):
+        with pytest.raises(UsageError, match="seed"):
+            checker(f, 2, IV, 5, seed)
+    # integer-valued numpy scalars are the seed they hold
+    want = checker(f, 2, IV, 5, 1)
+    for seed in (np.int64(1), np.uint32(1), (np.int16(1),)):
+        got = checker(f, 2, IV, 5, seed)
+        assert np.float64(got.min_eig_seen).tobytes() == np.float64(want.min_eig_seen).tobytes()
+
+
+def test_checkers_build_no_per_trial_seed_sequence(monkeypatch):
+    made = {"default_rng": 0, "SeedSequence": 0, "PCG64": 0}
+
+    def counting(name):
+        original = getattr(np.random, name)
+
+        def build(*args, **kwargs):
+            made[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, build)
+
+    for name in made:
+        counting(name)
+    for checker in CHECKERS:
+        checker(get_function("sqrt"), 3, IV, 100, 1234)
+    # one reused generator per checker call, its state set once per trial
+    assert made == {"default_rng": 0, "SeedSequence": 0, "PCG64": len(CHECKERS)}

@@ -15,6 +15,11 @@ def test_runconfig_validation():
         RunConfig(seed="not-a-seed")
     with pytest.raises(UsageError):
         RunConfig(seed=2**70)
+    # the trial streams take seeds in [0, 2**64); a fraction is refused, not truncated
+    for seed in (-1, 2**64, 1.5, "7"):
+        with pytest.raises(UsageError, match="seed"):
+            RunConfig(seed=seed)
+    assert [RunConfig(seed=s).seed for s in (0, 2**64 - 1, np.uint64(5))] == [0, 2**64 - 1, 5]
     with pytest.raises(UsageError):
         RunConfig(seed=1, trials=0)
     with pytest.raises(UsageError):
