@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._version import __version__
-from .calculus import affine_path, apply_function, path_derivative, path_second_derivative
+from .calculus import _apply_function_stack, affine_path, path_derivative, path_second_derivative
 from .choquet import (
     GridFunction,
     _finish,
@@ -39,7 +39,13 @@ from .connections import (
     geometric_spec,
     harmonic_spec,
 )
-from .divdiff import NodeSet, difference_quotient_transform, loewner_matrix, second_dd_matrix
+from .divdiff import (
+    NodeSet,
+    _loewner_stack,
+    difference_quotient_transform,
+    loewner_matrix,
+    second_dd_matrix,
+)
 from .errors import UsageError
 from .functions import (
     OPERATOR_MONOTONE,
@@ -74,11 +80,11 @@ from .measures import (
     synthesize,
 )
 from .monotonicity import (
+    _draw_node_sets,
     check_monotone_direct,
     check_monotone_order_n,
     derivative_bound_at_one,
     extreme_decomposition,
-    sample_nodes,
 )
 from .report import CheckRecord, Report, RunConfig, make_report
 
@@ -156,14 +162,12 @@ def crit_loewner_psd(cfg: RunConfig):
     checks = _Checks()
     witness = None
     for fi, nm in enumerate(names):
-        f = get_function(nm)
-        stream = _trial_streams((cfg.seed, 101, fi), trials)
-        for t in range(trials):
-            ns = sample_nodes(stream(t), 5, IV_MAIN)
-            lam = np.linalg.eigvalsh(loewner_matrix(f, ns).entries)
-            margin = float(lam[0]) / float(np.abs(lam).max())
+        ts = _draw_node_sets((cfg.seed, 101), fi, 5, IV_MAIN, trials)
+        lam = np.linalg.eigvalsh(_loewner_stack(get_function(nm), ts))
+        margins = lam[:, 0] / np.abs(lam).max(axis=1)
+        for t, margin in enumerate(margins.tolist()):
             if checks.at_least("worst_min_eig_over_norm", margin, -tol):
-                witness = {"function": nm, "nodes": list(ns.nodes)}
+                witness = {"function": nm, "nodes": ts[t].tolist()}
     return {"functions": names, "trials_each": trials, "node_count": 5,
             "interval": [IV_MAIN.lo, IV_MAIN.hi], "witness": witness}, checks
 
@@ -210,19 +214,16 @@ def crit_chain_rule(cfg: RunConfig):
         h = HermitianMatrix(hmat / _specnorm(hmat))
         path = affine_path(a, h)
 
+        # f at the five finite-difference points, one stacked decomposition
+        at = _apply_function_stack(
+            f, np.stack([path.value(s).entries for s in (h1, -h1, h2, 0.0, -h2)])
+        )
         d1 = path_derivative(f, path, 0.0).entries
-        fd1 = (
-            apply_function(f, path.value(h1)).entries
-            - apply_function(f, path.value(-h1)).entries
-        ) / (2.0 * h1)
+        fd1 = (at[0] - at[1]) / (2.0 * h1)
         checks.at_most("worst_first_rel_err", _specnorm(d1 - fd1) / _specnorm(d1), 1e-6)
 
         d2 = path_second_derivative(f, path, 0.0).entries
-        fd2 = (
-            apply_function(f, path.value(h2)).entries
-            - 2.0 * apply_function(f, path.value(0.0)).entries
-            + apply_function(f, path.value(-h2)).entries
-        ) / (h2 * h2)
+        fd2 = (at[2] - 2.0 * at[3] + at[4]) / (h2 * h2)
         checks.at_most("worst_second_rel_err", _specnorm(d2 - fd2) / _specnorm(d2), 1e-4)
     return {"paths": paths, "functions": [f.name for f in fs], "fd_steps": [h1, h2]}, checks
 
@@ -603,7 +604,7 @@ def crit_p1_bounds(cfg: RunConfig):
 
 
 def crit_determinism(cfg: RunConfig):
-    sub = RunConfig(seed=cfg.seed, trials=1, tol=cfg.tol, order_cap=cfg.order_cap)
+    sub = RunConfig(seed=cfg.seed, trials=1, tol=cfg.tol)
     names = [c.name for c in CRITERIA if c.name != "determinism"]
     r1 = run_acceptance(sub, names).to_json()
     r2 = run_acceptance(sub, names).to_json()

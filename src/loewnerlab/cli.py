@@ -45,7 +45,7 @@ from .monotonicity import (
     check_monotone_direct,
     check_monotone_order_n,
 )
-from .report import CheckRecord, RunConfig, make_report
+from .report import DEFAULT_ORDER_CAP, CheckRecord, RunConfig, make_report
 
 _CHECKERS = {
     "monotone": (check_monotone_order_n, r"[\Delta f(t_i, t_j)]_{i,j=1}^{n} \geq 0"),
@@ -92,10 +92,10 @@ def _witness_obj(witness):
 
 def cmd_check(args) -> int:
     f = get_function(args.function)
-    if args.order < 1 or args.order > args.order_cap:
-        raise UsageError(f"--order must be in [1, {args.order_cap}], got {args.order}")
+    if args.order < 1 or args.order > DEFAULT_ORDER_CAP:
+        raise UsageError(f"--order must be in [1, {DEFAULT_ORDER_CAP}], got {args.order}")
     iv = _parse_interval(args.interval)
-    cfg = RunConfig(seed=args.seed, trials=args.trials, order_cap=args.order_cap)
+    cfg = RunConfig(seed=args.seed, trials=args.trials)
     checker, anchor = _CHECKERS[args.property]
     verdict = checker(f, args.order, iv, args.trials, args.seed)
     record = CheckRecord(
@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("function", help="catalog name, e.g. sqrt, power:0.25, kernel:0.5")
     c.add_argument("--property", choices=sorted(_CHECKERS), default="monotone")
     c.add_argument("--order", type=int, default=4)
-    c.add_argument("--order-cap", type=int, default=8)
     c.add_argument("--interval", default="0.1,10")
     c.add_argument("--trials", type=int, default=100)
     c.add_argument("--seed", type=int, required=True)

@@ -253,15 +253,13 @@ def _connection_stack(mu: RadonMeasure01, a: np.ndarray, b: np.ndarray) -> np.nd
         return mu.alpha + mu.beta * c + kernel01(lam, c[..., None]) @ w
 
     fast = _transfer_rows(lam_a, lam_b) & (len(inner) > _TRANSFER_ATOMS)
-    if not fast.any():
-        return _parallel_sum_stack(mu, lam, w, a, b, lam_a, lam_b)
-    if fast.all():
-        return _transfer_stack(representing, a, b, lam_a, u_a)
     slow = ~fast
-    got = _transfer_stack(representing, a[fast], b[fast], lam_a[fast], u_a[fast])
-    rest = _parallel_sum_stack(mu, lam, w, a[slow], b[slow], lam_a[slow], lam_b[slow])
-    out = np.empty(a.shape, np.result_type(got, rest))
-    out[fast], out[slow] = got, rest
+    # the parallel sums are complex; the transfer keeps a real pair real
+    out = np.empty(a.shape, np.result_type(a, b, np.complex128 if slow.any() else np.float64))
+    if fast.any():
+        out[fast] = _transfer_stack(representing, a[fast], b[fast], lam_a[fast], u_a[fast])
+    if slow.any():
+        out[slow] = _parallel_sum_stack(mu, lam, w, a[slow], b[slow], lam_a[slow], lam_b[slow])
     return out
 
 

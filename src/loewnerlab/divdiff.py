@@ -21,8 +21,8 @@ The builders do index work and call a kernel: _loewner_stack and
 _anchored_stack build one matrix per row of a (trials, n) node array (the
 order-n checks build all their trials at once; loewner_matrix and
 second_dd_matrix are the same builds on one row), and _dd_tables forms every
-dd1 and dd2 over a spectrum, once per sorted pair and triple, for the chain
-rule in calculus.
+dd1 and dd2 over an ascending spectrum, once per pair and sorted triple, for
+the chain rule in calculus.
 """
 
 from __future__ import annotations
@@ -70,10 +70,22 @@ class NodeSet:
         return len(self.nodes)
 
 
+def _triple_mean(t1, t2, t3):
+    """(t1 + t2 + t3) / 3 for a sorted near triple (scalars or arrays); where
+    that sum overflows, the middle node plus the mean offset from it."""
+    with np.errstate(over="ignore"):
+        total = t1 + t2 + t3
+    return np.where(np.isfinite(total), total / 3.0, t2 + ((t1 - t2) + (t3 - t2)) / 3.0)
+
+
 def dd1(f: ScalarFunction, s: float, t: float) -> float:
-    """First divided difference; f'((s+t)/2) when the nodes coincide."""
+    """First divided difference; f'((s+t)/2) when the nodes coincide.
+
+    A midpoint is taken as lo + (hi - lo)/2: bitwise (lo + hi)/2 wherever
+    that sum is finite and the gap exact, and finite where the sum overflows.
+    """
     if _near(s, t):
-        return f.deriv(0.5 * (s + t))
+        return f.deriv(min(s, t) + 0.5 * abs(t - s))
     return (f(t) - f(s)) / (t - s)
 
 
@@ -89,12 +101,12 @@ def dd2(f: ScalarFunction, a: float, b: float, c: float) -> float:
     t1, t2, t3 = sorted((float(a), float(b), float(c)))
     low, high = _near(t1, t2), _near(t2, t3)
     if low and high:
-        return 0.5 * f.deriv2((t1 + t2 + t3) / 3.0)
+        return 0.5 * f.deriv2(float(_triple_mean(t1, t2, t3)))
     if low or high:
         if low:
-            x, y = 0.5 * (t1 + t2), t3
+            x, y = t1 + 0.5 * (t2 - t1), t3
         else:
-            x, y = 0.5 * (t2 + t3), t1
+            x, y = t2 + 0.5 * (t3 - t2), t1
         return (f.deriv(x) - dd1(f, y, x)) / (x - y)
     return (
         f(t1) / ((t1 - t2) * (t1 - t3))
@@ -125,7 +137,7 @@ def _dd1_values(f: ScalarFunction, ti, tj, fi, fj, di) -> np.ndarray:
     coincidence limit f'((t_i + t_j) / 2) is f'(t_i)), and the scalar dd1 on
     near-but-unequal pairs, which need f' at a new point.
     """
-    tie = (ti == tj) & (0.5 * (ti + ti) == ti)
+    tie = ti == tj
     with np.errstate(divide="ignore", invalid="ignore"):
         m = np.where(tie, di, (fj - fi) / (tj - ti))
     near = _near_arrays(ti, tj) & ~tie
@@ -147,7 +159,8 @@ def _dd2_values(f: ScalarFunction, t1, t2, t3, f1, f2, f3, d_mid) -> np.ndarray:
     the scalar dd2.
     """
     low, high = _near_arrays(t1, t2), _near_arrays(t2, t3)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a denominator that overflows makes its term 0, the underflowed value
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = (
             f1 / ((t1 - t2) * (t1 - t3))
             + f2 / ((t2 - t1) * (t2 - t3))
@@ -159,11 +172,11 @@ def _dd2_values(f: ScalarFunction, t1, t2, t3, f1, f2, f3, d_mid) -> np.ndarray:
     )
     # the middle node's near partner z and the third node y
     z, y, fy = np.where(high, t3, t1), np.where(high, t1, t3), np.where(high, f1, f3)
-    tie = (low != high) & (z == t2) & (0.5 * (z + t2) == t2)
+    tie = (low != high) & (z == t2)
     with np.errstate(divide="ignore", invalid="ignore"):
         lim = (d_mid - (f2 - fy) / (t2 - y)) / (t2 - y)
     triple = low & high
-    mean = ((t1[triple] + t2[triple] + t3[triple]) / 3.0).tolist()
+    mean = _triple_mean(t1[triple], t2[triple], t3[triple]).tolist()
     lim[triple] = [0.5 * f.deriv2(x) for x in mean]
     for i in np.nonzero(~(tie | triple))[0]:
         lim[i] = dd2(f, float(t1[i]), float(t2[i]), float(t3[i]))
@@ -172,25 +185,19 @@ def _dd2_values(f: ScalarFunction, t1, t2, t3, f1, f2, f3, d_mid) -> np.ndarray:
 
 
 def _dd_tables(f: ScalarFunction, nodes) -> tuple[np.ndarray, np.ndarray]:
-    """[dd1(f, t_i, t_j)] and [dd2(f, t_i, t_j, t_k)] over nodes.
+    """[dd1(f, t_i, t_j)] and [dd2(f, t_i, t_j, t_k)] over ascending nodes
+    (a spectrum, as eigendecompose returns it).
 
-    The nodes are sorted once; dd1 is formed once per unordered pair and dd2
-    once per sorted triple, then both are gathered back into node order.
+    dd1 is formed once per unordered pair and dd2 once per sorted triple,
+    then both are gathered into full tables.
     """
-    t = np.asarray(nodes, dtype=np.float64)
-    n = len(t)
-    order = np.argsort(t, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(n)
-    s = t[order]
+    s = np.asarray(nodes, dtype=np.float64)
     fs, ds = _node_values(f, s), _node_values(f.deriv, s)
-    i, j, p, q, r, pos = _sorted_triples(n)
-    d1 = np.empty((n, n))
+    i, j, p, q, r, pos = _sorted_triples(len(s))
+    d1 = np.empty((len(s), len(s)))
     d1[i, j] = d1[j, i] = _dd1_values(f, s[i], s[j], fs[i], fs[j], ds[i])
     d2 = _dd2_values(f, s[p], s[q], s[r], fs[p], fs[q], fs[r], ds[q])
-    if np.any(order != np.arange(n)):
-        pos = pos[np.ix_(rank, rank, rank)]
-    return d1[rank[:, None], rank], d2.take(pos)
+    return d1, d2.take(pos)
 
 
 def _loewner_stack(f: ScalarFunction, ts: np.ndarray) -> np.ndarray:

@@ -230,11 +230,6 @@ def _qr_unitary(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d)).conj()[..., None, :]
 
 
-def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary from a QR factorization with phase fix."""
-    return _qr_unitary(_complex_normal(n, rng))
-
-
 def _resolve_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed

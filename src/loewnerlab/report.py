@@ -34,7 +34,6 @@ class RunConfig:
     seed: int
     trials: int | None = None
     tol: float | None = None
-    order_cap: int = DEFAULT_ORDER_CAP
 
     def __post_init__(self):
         seed = _seed_int(self.seed)
@@ -46,8 +45,6 @@ class RunConfig:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
         if self.tol is not None and not self.tol > 0.0:
             raise UsageError(f"tol must be positive, got {self.tol}")
-        if int(self.order_cap) < 2:
-            raise UsageError(f"order cap must be >= 2, got {self.order_cap}")
 
     def loop(self, default: int) -> int:
         """Size of a verification loop: the override, else the default."""
@@ -58,7 +55,7 @@ class RunConfig:
             "seed": self.seed,
             "trials": self.trials,
             "tol": self.tol,
-            "order_cap": self.order_cap,
+            "order_cap": DEFAULT_ORDER_CAP,
         }
 
 

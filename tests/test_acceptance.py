@@ -33,6 +33,7 @@ from loewnerlab.hermitian import (
     random_ordered_pair,
 )
 from loewnerlab.measures import synthesize
+from loewnerlab.monotonicity import sample_nodes
 from loewnerlab.report import RunConfig
 
 GATE_SEED = 1234
@@ -321,3 +322,60 @@ def test_failing_psd_criterion_keeps_its_worst_case_witness():
     lam = np.linalg.eigvalsh(loewner_matrix(get_function(w["function"]), ns).entries)
     margin = float(lam[0]) / float(np.abs(lam).max())
     assert margin == record.evidence["worst_min_eig_over_norm"] < 0.0
+
+
+# ---------------------------------------------------------------------------
+# loewner_psd_certificate and chain_rule_finite_differences on stacks
+
+
+def _ref_loewner_psd(cfg):
+    """Criterion 1 trial by trial: sample_nodes, loewner_matrix and one
+    eigvalsh per trial; the worst margin and its first witness."""
+    tol = cfg.tol if cfg.tol is not None else 1e-9
+    worst = witness = None
+    for fi, nm in enumerate(["sqrt", "power:0.25", "power:0.75",
+                             "kernel:0.25", "kernel:0.5", "kernel:0.75"]):
+        f = get_function(nm)
+        for t in range(cfg.loop(100)):
+            ns = sample_nodes(np.random.default_rng((cfg.seed, 101, fi, t)), 5, acc.IV_MAIN)
+            lam = np.linalg.eigvalsh(loewner_matrix(f, ns).entries)
+            margin = float(lam[0]) / float(np.abs(lam).max())
+            if worst is None or margin < worst:
+                worst, witness = margin, {"function": nm, "nodes": list(ns.nodes)}
+    return worst, witness, worst >= -tol
+
+
+@pytest.mark.parametrize("seed,trials,tol", [
+    (1234, None, None), (0, None, None), (77, None, None),
+    (1234, 1, None), (0, 1, None), (77, 1, None), (1234, None, 1e-20),
+], ids=["1234", "0", "77", "1234-1", "0-1", "77-1", "1234-tol"])
+def test_psd_certificate_equals_per_trial_reference(seed, trials, tol):
+    cfg = RunConfig(seed=seed, trials=trials, tol=tol)
+    ev, checks = acc.crit_loewner_psd(cfg)
+    worst, witness, ok = _ref_loewner_psd(cfg)
+    assert checks.worst["worst_min_eig_over_norm"] == worst
+    assert json.dumps(ev["witness"]) == json.dumps(witness)
+    assert checks.passed() == ok
+    assert ok == (tol is None)  # tol=1e-20 fails on a rounding-level margin
+
+
+def test_psd_certificate_and_chain_rule_decompose_once_per_stack(monkeypatch):
+    counts = {"eigvalsh": 0, "eigh": 0}
+
+    def counter(name):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counter(name))
+    acc.crit_loewner_psd(RunConfig(seed=GATE_SEED))
+    assert counts["eigvalsh"] == 6  # one per member; trial by trial it was 600
+    counts["eigh"] = 0
+    acc.crit_chain_rule(RunConfig(seed=GATE_SEED))
+    # per path: the two chain-rule decompositions and one for the five
+    # finite-difference points (seven, one matrix at a time)
+    assert counts["eigh"] == 3 * 50

@@ -109,6 +109,17 @@ def test_check_extreme_scales_are_numerical_failures(capsys, argv):
     assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("prop", ["monotone", "convex"])
+def test_check_near_the_float_maximum_is_quiet(capsys, prop):
+    # RuntimeWarnings are errors under this suite's pytest settings
+    code, out, err = run(capsys, "check", "sqrt", "--property", prop, "--order", "3",
+                         "--interval", "1e300,1.7e308", "--trials", "3", "--seed", "1")
+    assert (code, err) == (0, "")
+    if prop == "monotone":
+        # the diagonal is f'(t_i), not the f'(inf) = 0 of an overflowed midpoint
+        assert json.loads(out)["records"][0]["evidence"]["min_eig_over_norm"] > 0.0
+
+
 def test_check_zero_trials_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "sqrt", "--trials", "0", "--seed", "1")
     assert code == 2

@@ -20,7 +20,8 @@ from loewnerlab.functions import get_function
 from loewnerlab.hermitian import (
     HermitianMatrix,
     Interval,
-    _random_unitary,
+    _complex_normal,
+    _qr_unitary,
     hermitian_part,
     random_hermitian,
 )
@@ -307,8 +308,8 @@ def test_right_operand_guards():
 def _pair_in_bases(seed, a_spectrum, b_spectrum):
     """U diag(a_spectrum) U* and V diag(b_spectrum) V* for seeded unitaries."""
     rng = np.random.default_rng(seed)
-    u = _random_unitary(len(a_spectrum), rng)
-    v = _random_unitary(len(b_spectrum), rng)
+    u = _qr_unitary(_complex_normal(len(a_spectrum), rng))
+    v = _qr_unitary(_complex_normal(len(b_spectrum), rng))
     a = HermitianMatrix(hermitian_part(u @ np.diag(a_spectrum) @ u.conj().T))
     b = HermitianMatrix(hermitian_part(v @ np.diag(b_spectrum) @ v.conj().T))
     return a, b
@@ -471,6 +472,16 @@ def test_mixed_stack_rows_equal_evaluate_connection():
         rows = connections._connection_stack(mu, a, b)
         for row, (x, y) in zip(rows, pairs):
             assert row.tobytes() == evaluate_connection(mu, x, y).entries.tobytes()
+
+
+def test_stack_dtype_follows_the_routes_its_rows_take():
+    # real rows on the transfer stay real; any parallel-sum row makes the stack complex
+    well = np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 3.0])])
+    mixed = np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 1e6])])
+    stack = connections._connection_stack
+    assert stack(geometric_spec(50), well, well[::-1]).dtype == np.float64
+    assert stack(geometric_spec(50), mixed, mixed[::-1]).dtype == np.complex128
+    assert stack(harmonic_spec(), well, well[::-1]).dtype == np.complex128
 
 
 def test_a_pair_whose_transfer_overflows_takes_the_parallel_sums(monkeypatch):

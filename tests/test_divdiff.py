@@ -1,5 +1,7 @@
 """Divided differences against hand-computed polynomial and sqrt values."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from loewnerlab.divdiff import (
 )
 from loewnerlab.errors import UsageError
 from loewnerlab.functions import ScalarFunction, get_function
-from loewnerlab.hermitian import Interval
+from loewnerlab.hermitian import POSITIVE_AXIS, Interval
 
 WIDE = Interval(-100.0, 100.0)
 CUBE = ScalarFunction("local_cube", WIDE, lambda t: t**3,
@@ -29,14 +31,20 @@ SQUARE = ScalarFunction("local_square", WIDE, lambda t: t * t,
 nodes_st = st.floats(min_value=0.1, max_value=50.0)
 
 
-def assert_tables_match_scalar(f, ts):
-    """_dd_tables equals loops over the scalar dd1/dd2, bitwise."""
+def _scalar_tables(f, ts):
     d1 = np.array([[dd1(f, s, t) for t in ts] for s in ts])
     d2 = np.array([[[dd2(f, a, b, c) for c in ts] for b in ts] for a in ts])
-    first, second = _dd_tables(f, ts)
+    return d1, d2
+
+
+def assert_tables_match_scalar(f, ts):
+    """_dd_tables over the sorted nodes (a spectrum), and the stacks over the
+    nodes as given, equal loops over the scalar dd1/dd2, bitwise."""
+    d1, d2 = _scalar_tables(f, sorted(ts))
+    first, second = _dd_tables(f, sorted(ts))
     assert first.tobytes() == d1.tobytes()
     assert second.tobytes() == d2.tobytes()
-    assert_stacks_match_scalar(f, ts, d1, d2)
+    assert_stacks_match_scalar(f, ts, *_scalar_tables(f, ts))
 
 
 def assert_stacks_match_scalar(f, ts, d1, d2):
@@ -234,3 +242,25 @@ def test_diffquot_loewner_matrix_equals_anchored_second_differences():
     lhs = loewner_matrix(difference_quotient_transform(f, t1), ns).entries
     rhs = second_dd_matrix(f, ns, t1).entries
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+
+
+# t log t: f'' = 1/t is still nonzero (subnormal) just below the float maximum
+XLOGX = ScalarFunction("local_xlogx", POSITIVE_AXIS, lambda t: t * math.log(t),
+                       lambda t: math.log(t) + 1.0, lambda t: 1.0 / t)
+
+
+def test_coincidence_limits_are_exact_near_the_float_maximum():
+    # above ~8.99e307 the sum t + t overflows, so no limit may go through it
+    f = get_function("sqrt")
+    ts = (1e308, 1.5e308)
+    m = loewner_matrix(f, NodeSet(ts, POSITIVE_AXIS)).entries
+    assert np.diag(m).tolist() == [f.deriv(t) for t in ts]
+    assert dd1(f, ts[1], ts[1]) == f.deriv(ts[1])
+    # a near pair takes f' at its midpoint lo + (hi - lo) / 2
+    hi = ts[1] * (1.0 + 0.5 * TAU_NODE)
+    assert dd1(f, hi, ts[1]) == f.deriv(ts[1] + 0.5 * (hi - ts[1])) > 0.0
+    # a triple coincidence takes f''/2 at the node
+    assert dd2(XLOGX, ts[1], ts[1], ts[1]) == 0.5 * XLOGX.deriv2(ts[1]) > 0.0
+    # tables and stacks stay bitwise equal to the scalar forms there; an
+    # overflowing partial-fraction product gives its term the value 0
+    assert_tables_match_scalar(f, [1e300, 1e308, 1.2e308, 1.5e308, hi, 1.5e308])

@@ -10,8 +10,9 @@ from loewnerlab.hermitian import (
     Interval,
     POSITIVE_AXIS,
     PSD_TOL,
+    _complex_normal,
     _eigh_checked,
-    _random_unitary,
+    _qr_unitary,
     _require_hermitian,
     _spectrum_in,
     eigendecompose,
@@ -152,8 +153,8 @@ def test_loewner_leq_and_spectrum():
 
 
 def test_random_unitary_is_unitary_and_seeded():
-    u1 = _random_unitary(5, np.random.default_rng(42))
-    u2 = _random_unitary(5, np.random.default_rng(42))
+    u1 = _qr_unitary(_complex_normal(5, np.random.default_rng(42)))
+    u2 = _qr_unitary(_complex_normal(5, np.random.default_rng(42)))
     assert np.array_equal(u1, u2)
     np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(5), atol=1e-12)
 

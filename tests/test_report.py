@@ -24,8 +24,6 @@ def test_runconfig_validation():
         RunConfig(seed=1, trials=0)
     with pytest.raises(UsageError):
         RunConfig(seed=1, tol=-1e-9)
-    with pytest.raises(UsageError):
-        RunConfig(seed=1, order_cap=1)
 
 
 def test_runconfig_loop_override():
