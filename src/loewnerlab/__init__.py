@@ -45,14 +45,12 @@ from .divdiff import (
 )
 from .errors import InfeasiblePointError, NumericalFailure, UsageError
 from .functions import (
-    Mollifier,
     ScalarFunction,
     catalog,
     catalog_names,
     get_function,
     mollify,
     mollify_derivative,
-    standard_mollifier,
 )
 from .hermitian import (
     HermitianMatrix,
@@ -95,7 +93,6 @@ __all__ = [
     "Interval",
     "LoewnerMatrix",
     "MatrixPath",
-    "Mollifier",
     "NodeSet",
     "NumericalFailure",
     "POSITIVE_AXIS",
@@ -142,7 +139,6 @@ __all__ = [
     "random_ordered_pair",
     "run_acceptance",
     "second_dd_matrix",
-    "standard_mollifier",
     "synthesize",
     "transform_involution",
 ]

@@ -50,12 +50,12 @@ from .errors import UsageError
 from .functions import (
     OPERATOR_MONOTONE,
     ScalarFunction,
+    _density,
     _node_values,
     catalog,
     get_function,
     mollify,
     mollify_derivative,
-    standard_mollifier,
 )
 from .hermitian import (
     HermitianMatrix,
@@ -473,9 +473,8 @@ def crit_kubo_ando(cfg: RunConfig):
 
 
 def crit_regularization(cfg: RunConfig):
-    mol = standard_mollifier()
     xs = np.linspace(-1.0, 1.0, 20001)
-    vals = np.array([mol.density(float(x)) for x in xs])
+    vals = np.array([_density(float(x)) for x in xs])
     checks = _Checks()
     checks.at_most("normalization_error", abs(float(np.trapezoid(vals, xs)) - 1.0), 1e-10)
 
@@ -527,7 +526,7 @@ def crit_choquet(cfg: RunConfig):
         scale = max(1.0, float(np.abs(ys).max()))
 
         checks.at_least("envelope_worst_majorant_gap", float((env.ys - gf.ys).min()), 0.0)
-        checks.equal("envelope_concave", is_concave_grid(env, 1e-12), True)
+        checks.equal("envelope_concave", is_concave_grid(env), True)
         env2 = concave_envelope(env)
         idem_gap = float(np.abs(env2.ys - env.ys).max()) / scale
         checks.at_most("envelope_worst_scaled_gap", idem_gap, 1e-12)

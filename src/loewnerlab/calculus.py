@@ -1,25 +1,25 @@
-"""Functions of Hermitian matrices and derivatives along matrix paths.
+"""Functions of Hermitian matrices and derivatives along affine paths.
 
 apply_function lifts a scalar function to Hermitian arguments through the
-spectral decomposition.  Derivatives of t -> f(gamma(t)) are computed by the
-divided-difference chain rule: rotate gamma'(t) into the eigenbasis, multiply
+spectral decomposition.  Derivatives of t -> f(A + tH) are computed by the
+Daleckii-Krein chain rule: rotate H into the eigenbasis of A + tH, multiply
 entrywise by the first-divided-difference matrix, rotate back.  The second
-derivative adds one rank-one Schur term per eigenvector column using the
-anchored second divided differences, plus the first-order action on
-gamma''(t).  Coincident eigenvalues need no special casing -- the divided
-differences already degrade gracefully to derivative limits.  f and f' are
-evaluated once per eigenvalue, and the divided-difference matrices are formed
-from those values by the divdiff kernels (through _loewner_stack and
-_dd_tables).  apply_function has a stacked body that lifts f to a whole
-(trials, n, n) stack with one eigendecomposition, evaluating f per eigenvalue
-through functions._node_values as the divided-difference builds do; the
-randomized checks call it directly.
+derivative is one rank-one Schur term per eigenvector column using the
+anchored second divided differences; the path is affine, so no term for its
+own second derivative arises.  Coincident eigenvalues need no special
+casing -- the divided differences already degrade gracefully to derivative
+limits.  f and f' are evaluated once per eigenvalue, and the
+divided-difference matrices are formed from those values by the divdiff
+kernels (through _loewner_stack and _dd_tables).  apply_function has a
+stacked body that lifts f to a whole (trials, n, n) stack with one
+eigendecomposition, evaluating f per eigenvalue through
+functions._node_values as the divided-difference builds do; the randomized
+checks call it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,22 +37,19 @@ from .hermitian import (
 
 @dataclass(frozen=True)
 class MatrixPath:
-    """A Hermitian-valued curve t -> gamma(t) with two derivatives."""
+    """The affine path t -> A + tH of Hermitian matrices; its velocity is H."""
 
-    value: Callable[[float], HermitianMatrix]
-    deriv: Callable[[float], HermitianMatrix]
-    deriv2: Callable[[float], HermitianMatrix]
+    a: HermitianMatrix
+    h: HermitianMatrix
+
+    def value(self, t: float) -> HermitianMatrix:
+        return HermitianMatrix(self.a.entries + float(t) * self.h.entries)
 
 
 def affine_path(a: HermitianMatrix, h: HermitianMatrix) -> MatrixPath:
-    """gamma(t) = A + tH."""
+    """The path t -> A + tH."""
     a._check_same_dim(h)
-    zero = HermitianMatrix(np.zeros_like(a.entries))
-    return MatrixPath(
-        value=lambda t: HermitianMatrix(a.entries + float(t) * h.entries),
-        deriv=lambda t: h,
-        deriv2=lambda t: zero,
-    )
+    return MatrixPath(a, h)
 
 
 def _check_spectrum(f: ScalarFunction, lam: np.ndarray):
@@ -85,11 +82,11 @@ def apply_function(f: ScalarFunction, a: HermitianMatrix) -> HermitianMatrix:
 
 
 def path_derivative(f: ScalarFunction, path: MatrixPath, t: float) -> HermitianMatrix:
-    """d/dt f(gamma(t)) = U ( [dd1(f, l_i, l_j)] o (U* gamma' U) ) U*."""
+    """d/dt f(A + tH) = U ( [dd1(f, l_i, l_j)] o (U* H U) ) U*."""
     dec = eigendecompose(path.value(t))
     _check_spectrum(f, dec.eigenvalues)
     u = dec.unitary
-    vel = hermitian_part(u.conj().T @ path.deriv(t).entries @ u)
+    vel = hermitian_part(u.conj().T @ path.h.entries @ u)
     d1 = _loewner_stack(f, dec.eigenvalues)
     out = u @ (d1 * vel) @ u.conj().T
     return HermitianMatrix(hermitian_part(out))
@@ -98,25 +95,23 @@ def path_derivative(f: ScalarFunction, path: MatrixPath, t: float) -> HermitianM
 def path_second_derivative(
     f: ScalarFunction, path: MatrixPath, t: float
 ) -> HermitianMatrix:
-    """Second derivative of t -> f(gamma(t)).
+    """Second derivative of t -> f(A + tH).
 
-    In the eigenbasis of gamma(t) with columns c_k of U* gamma' U:
+    In the eigenbasis of A + tH with columns c_k of U* H U:
 
         2 * sum_k [dd2(f, l_i, l_j, l_k)] o (c_k c_k*)
-          + [dd1(f, l_i, l_j)] o (U* gamma'' U)
     """
     dec = eigendecompose(path.value(t))
     _check_spectrum(f, dec.eigenvalues)
     lam = dec.eigenvalues
     u = dec.unitary
-    vel = hermitian_part(u.conj().T @ path.deriv(t).entries @ u)
+    vel = hermitian_part(u.conj().T @ path.h.entries @ u)
     n = len(lam)
-    d1, d2 = _dd_tables(f, lam)
+    d2 = _dd_tables(f, lam)
     s = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
         ck = vel[:, k]
         s += 2.0 * d2[k] * np.outer(ck, ck.conj())
-    s += d1 * (u.conj().T @ path.deriv2(t).entries @ u)
     out = u @ s @ u.conj().T
     return HermitianMatrix(hermitian_part(out))
 

@@ -28,6 +28,9 @@ from .errors import InfeasiblePointError, NumericalFailure, UsageError
 
 FEAS_TOL = 1e-9
 
+#: Relative slack on slope increases that is_concave_grid forgives.
+_CONCAVITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -60,13 +63,13 @@ def _slopes(gf: GridFunction) -> np.ndarray:
     return np.diff(gf.ys) / np.diff(gf.xs)
 
 
-def is_concave_grid(gf: GridFunction, tol: float = 1e-12) -> bool:
+def is_concave_grid(gf: GridFunction) -> bool:
     """Concavity = non-increasing chord slopes; robust on nonuniform grids."""
     s = _slopes(gf)
     if s.size < 2:
         return True
     scale = max(1.0, float(np.abs(s).max()))
-    return bool(np.all(np.diff(s) <= tol * scale))
+    return bool(np.all(np.diff(s) <= _CONCAVITY_TOL * scale))
 
 
 def _upper_hull_indices(xs: np.ndarray, ys: np.ndarray) -> list:

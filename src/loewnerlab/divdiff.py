@@ -21,8 +21,8 @@ The builders do index work and call a kernel: _loewner_stack and
 _anchored_stack build one matrix per row of a (trials, n) node array (the
 order-n checks build all their trials at once; loewner_matrix and
 second_dd_matrix are the same builds on one row), and _dd_tables forms every
-dd1 and dd2 over an ascending spectrum, once per pair and sorted triple, for
-the chain rule in calculus.
+dd2 over an ascending spectrum, once per sorted triple, for the chain rule
+in calculus.
 """
 
 from __future__ import annotations
@@ -117,17 +117,16 @@ def dd2(f: ScalarFunction, a: float, b: float, c: float) -> float:
 
 @lru_cache(maxsize=16)
 def _sorted_triples(n: int) -> tuple[np.ndarray, ...]:
-    """Index pairs i <= j and triples p <= q <= r of range(n), and for every
-    (i, j, k) the position of its sorted triple among the triples."""
-    i, j = np.triu_indices(n)
+    """Index triples p <= q <= r of range(n), and for every (i, j, k) the
+    position of its sorted triple among the triples."""
     triples = combinations_with_replacement(range(n), 3)
     p, q, r = np.array(list(triples), dtype=np.intp).T
     pos = np.empty((n, n, n), dtype=np.intp)
     for axes in permutations((p, q, r)):
         pos[axes] = np.arange(len(p))
-    for arr in (i, j, p, q, r, pos):
+    for arr in (p, q, r, pos):
         arr.setflags(write=False)
-    return i, j, p, q, r, pos
+    return p, q, r, pos
 
 
 def _dd1_values(f: ScalarFunction, ti, tj, fi, fj, di) -> np.ndarray:
@@ -184,20 +183,17 @@ def _dd2_values(f: ScalarFunction, t1, t2, t3, f1, f2, f3, d_mid) -> np.ndarray:
     return m
 
 
-def _dd_tables(f: ScalarFunction, nodes) -> tuple[np.ndarray, np.ndarray]:
-    """[dd1(f, t_i, t_j)] and [dd2(f, t_i, t_j, t_k)] over ascending nodes
-    (a spectrum, as eigendecompose returns it).
+def _dd_tables(f: ScalarFunction, nodes) -> np.ndarray:
+    """[dd2(f, t_i, t_j, t_k)] over ascending nodes (a spectrum, as
+    eigendecompose returns it).
 
-    dd1 is formed once per unordered pair and dd2 once per sorted triple,
-    then both are gathered into full tables.
+    dd2 is formed once per sorted triple, then gathered into the full table.
     """
     s = np.asarray(nodes, dtype=np.float64)
     fs, ds = _node_values(f, s), _node_values(f.deriv, s)
-    i, j, p, q, r, pos = _sorted_triples(len(s))
-    d1 = np.empty((len(s), len(s)))
-    d1[i, j] = d1[j, i] = _dd1_values(f, s[i], s[j], fs[i], fs[j], ds[i])
+    p, q, r, pos = _sorted_triples(len(s))
     d2 = _dd2_values(f, s[p], s[q], s[r], fs[p], fs[q], fs[r], ds[q])
-    return d1, d2.take(pos)
+    return d2.take(pos)
 
 
 def _loewner_stack(f: ScalarFunction, ts: np.ndarray) -> np.ndarray:

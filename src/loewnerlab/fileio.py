@@ -50,7 +50,7 @@ def load_matrix_json(path: str) -> HermitianMatrix:
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
         raise UsageError(f'{path}: matrix JSON needs keys "n" and "entries"')
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise UsageError(f'{path}: "n" must be a positive integer, got {n!r}')
     rows = data["entries"]
     if not isinstance(rows, list) or len(rows) != n:

@@ -19,7 +19,8 @@ the function gives derivatives of the smoothed function without ever
 differencing the input.  The quadrature integrand works on a whole level's
 node vector: f is evaluated at x - eps*y for every node y, and the kernel
 at the nodes is read from a read-only table built point by point once per
-(mollifier, node count) and kept in a bounded cache.  Profiles and catalog
+(kernel, node count), the kernel being _density or its derivative
+_density_deriv, and kept in a bounded cache.  The bump and catalog
 callables stay scalar (math.exp and Python pow, not numpy's, whose last
 bits differ), so every value equals the node-by-node sum bitwise.
 """
@@ -244,14 +245,14 @@ def _leggauss(n: int):
     return x, w
 
 
-def _adaptive_gl(g, start: int = 64, stop_tol: float = 1e-10, cap: int = 1024) -> float:
-    """Gauss-Legendre on [-1, 1], doubling nodes until the value settles.
+def _adaptive_gl(g, stop_tol: float = 1e-10, cap: int = 1024) -> float:
+    """Gauss-Legendre on [-1, 1] from 64 nodes, doubling until the value settles.
 
     g is a vector integrand: it takes a level's node vector and returns the
     integrand at every node, and each level sums np.sum(w * g(x)).  Raises
     NumericalFailure if the value has not settled to stop_tol by cap nodes.
     """
-    n = start
+    n = 64
     x, w = _leggauss(n)
     prev = float(np.sum(w * g(x)))
     step = math.inf
@@ -268,37 +269,26 @@ def _adaptive_gl(g, start: int = 64, stop_tol: float = 1e-10, cap: int = 1024) -
     )
 
 
-@dataclass(frozen=True)
-class Mollifier:
-    """Smooth even kernel of unit mass supported on (-1, 1)."""
-
-    profile: Callable[[float], float]
-    profile_deriv: Callable[[float], float]
-    normalizer: float
-
-    def density(self, x: float) -> float:
-        return self.normalizer * self.profile(x)
-
-    def density_deriv(self, x: float) -> float:
-        return self.normalizer * self.profile_deriv(x)
-
-
 @lru_cache(maxsize=1)
-def standard_mollifier() -> Mollifier:
-    """The bump exp(-1/(1-x^2)), normalized to integrate to 1."""
-    raw_mass = _adaptive_gl(partial(_node_values, _bump), start=64, stop_tol=1e-12, cap=2048)
-    return Mollifier(profile=_bump, profile_deriv=_bump_deriv,
-                     normalizer=1.0 / raw_mass)
+def _normalizer() -> float:
+    """1 / mass of the bump, computed on first use."""
+    return 1.0 / _adaptive_gl(partial(_node_values, _bump), stop_tol=1e-12, cap=2048)
+
+
+def _density(x: float) -> float:
+    """The mollifier: the bump normalized to unit mass."""
+    return _normalizer() * _bump(x)
+
+
+def _density_deriv(x: float) -> float:
+    """The derivative of _density."""
+    return _normalizer() * _bump_deriv(x)
 
 
 @lru_cache(maxsize=32)
 def _kernel_table(density, n: int) -> np.ndarray:
-    """density (a mollifier's bound density or density_deriv) at the n
-    Gauss-Legendre nodes, built point by point and read-only.
-
-    A bound method hashes by the identity of its mollifier, so the cache is
-    keyed on (mollifier, kernel, n).
-    """
+    """density (_density or _density_deriv) at the n Gauss-Legendre nodes,
+    built point by point and read-only; cached per (density, n)."""
     table = _node_values(density, _leggauss(n)[0])
     table.flags.writeable = False
     return table
@@ -319,22 +309,18 @@ def _check_mollify_window(f: ScalarFunction, eps: float, x: float):
         )
 
 
-def mollify(f: ScalarFunction, eps: float, x: float,
-            mollifier: Mollifier | None = None) -> float:
+def mollify(f: ScalarFunction, eps: float, x: float) -> float:
     """Value at x of f convolved with the eps-width mollifier."""
     _check_mollify_window(f, eps, x)
-    m = mollifier or standard_mollifier()
-    return _convolve(f, eps, x, m.density)
+    return _convolve(f, eps, x, _density)
 
 
-def mollify_derivative(f: ScalarFunction, eps: float, x: float,
-                       mollifier: Mollifier | None = None) -> float:
+def mollify_derivative(f: ScalarFunction, eps: float, x: float) -> float:
     """Derivative of the mollified function, via the differentiated kernel.
 
     (f * phi_eps)'(x) = (1/eps) * int f(x - eps u) phi'(u) du; no difference
     quotient of f is ever taken.
     """
     _check_mollify_window(f, eps, x)
-    m = mollifier or standard_mollifier()
-    return _convolve(f, eps, x, m.density_deriv) / eps
+    return _convolve(f, eps, x, _density_deriv) / eps
 

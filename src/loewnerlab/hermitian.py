@@ -34,6 +34,12 @@ PSD_TOL = 1e-9
 #: Relative bound on eigendecomposition reconstruction/unitarity residuals.
 TOL_RECON = 1e-10
 
+#: Relative deviation from Hermitian symmetry that from_array symmetrizes away.
+_HERMITIAN_ATOL = 1e-9
+
+#: Share of a bounded interval's width kept clear at each end by random draws.
+_SPECTRUM_MARGIN = 0.02
+
 _MAX_SHRINK_STEPS = 60
 
 
@@ -120,17 +126,17 @@ class HermitianMatrix:
         object.__setattr__(self, "entries", arr)
 
     @classmethod
-    def from_array(cls, arr, atol: float = 1e-9) -> "HermitianMatrix":
+    def from_array(cls, arr) -> "HermitianMatrix":
         """Validate near-Hermitian input and symmetrize it exactly."""
         a = np.asarray(arr, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise UsageError(f"expected a square matrix, got shape {a.shape}")
         scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
         dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-        if dev > atol * scale:
+        if dev > _HERMITIAN_ATOL * scale:
             raise UsageError(
                 f"matrix deviates from Hermitian symmetry by {dev:.3e} "
-                f"(allowed {atol * scale:.3e})"
+                f"(allowed {_HERMITIAN_ATOL * scale:.3e})"
             )
         return cls(hermitian_part(a))
 
@@ -247,14 +253,14 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PLACEHOLDER_SEED = np.random.SeedSequence(0)
 
 
-def _seed_int(value) -> int:
+def _require_int(value, what: str) -> int:
     """value as an int; a non-integral value is refused, not truncated."""
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or out != value:
-        raise UsageError(f"seed must be an integer, got {value!r}")
+        raise UsageError(f"{what} must be an integer, got {value!r}")
     return out
 
 
@@ -348,13 +354,13 @@ def _trial_streams(prefix: tuple, count: int):
     return stream
 
 
-def _draw_hermitian(n: int, iv: Interval, rng, margin: float = 0.02):
+def _draw_hermitian(n: int, iv: Interval, rng):
     """The draws of one random_hermitian: eigenvalues, then the QR input."""
     if n < 1:
         raise UsageError(f"dimension must be >= 1, got {n}")
     if not iv.bounded:
         raise UsageError("random generation needs a bounded interval")
-    pad = margin * iv.width
+    pad = _SPECTRUM_MARGIN * iv.width
     lam = rng.uniform(iv.lo + pad, iv.hi - pad, n)
     return lam, _complex_normal(n, rng)
 
@@ -367,16 +373,15 @@ def _build_hermitian(lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_hermitian(
-    n: int, iv: Interval, seed, margin: float = 0.02
-) -> HermitianMatrix:
+def random_hermitian(n: int, iv: Interval, seed) -> HermitianMatrix:
     """Random Hermitian matrix with spectrum strictly inside the bounded iv.
 
-    Eigenvalues are drawn uniformly from the margin-shrunk interval and
-    conjugated by a random unitary; the margin absorbs roundoff so the strict
-    containment survives the conjugation.
+    Eigenvalues are drawn uniformly from the interval shrunk by
+    _SPECTRUM_MARGIN of its width at each end and conjugated by a random
+    unitary; the margin absorbs roundoff so the strict containment survives
+    the conjugation.
     """
-    draw = _draw_hermitian(n, iv, _resolve_rng(seed), margin)
+    draw = _draw_hermitian(n, iv, _resolve_rng(seed))
     return HermitianMatrix(_build_hermitian(*draw))
 
 

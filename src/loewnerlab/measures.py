@@ -125,36 +125,30 @@ def synthesize(mu: RadonMeasure01) -> ScalarFunction:
 
     Its value at t = 1 is the total mass of mu, bitwise, because every kernel
     evaluates to exactly 1 there and the accumulation order matches
-    total_mass().  Evaluating at t <= 0 (or NaN) raises UsageError.
+    total_mass().  Evaluating it or either derivative at t <= 0 (or NaN)
+    raises UsageError.
     """
     pairs = mu.atoms
 
-    def fn(t):
-        if not t > 0.0:
-            raise UsageError(f"kernel mixture needs t > 0, got {t}")
-        acc = 0.0
-        for lam, w in pairs:
-            acc += w * kernel01(lam, t)
-        return acc
+    def mixture(kernel):
+        """t -> sum w * kernel(lam, t) over the atoms, in construction order."""
 
-    def d1(t):
-        acc = 0.0
-        for lam, w in pairs:
-            acc += w * kernel01_d1(lam, t)
-        return acc
+        def g(t):
+            if not t > 0.0:
+                raise UsageError(f"kernel mixture needs t > 0, got {t}")
+            acc = 0.0
+            for lam, w in pairs:
+                acc += w * kernel(lam, t)
+            return acc
 
-    def d2(t):
-        acc = 0.0
-        for lam, w in pairs:
-            acc += w * kernel01_d2(lam, t)
-        return acc
+        return g
 
     return ScalarFunction(
         name=f"mix[{len(pairs)}]",
         domain=POSITIVE_AXIS,
-        fn=fn,
-        d1=d1,
-        d2=d2,
+        fn=mixture(kernel01),
+        d1=mixture(kernel01_d1),
+        d2=mixture(kernel01_d2),
         claimed_class=OPERATOR_MONOTONE,
     )
 

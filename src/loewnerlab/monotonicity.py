@@ -54,7 +54,7 @@ from .hermitian import (
     _draw_hermitian,
     _draw_ordered_pair,
     _require_hermitian,
-    _seed_int,
+    _require_int,
     _trial_streams,
     min_eig_scaled,
 )
@@ -93,7 +93,7 @@ class Verdict:
 
 def _seed_tuple(seed) -> tuple:
     parts = seed if isinstance(seed, (tuple, list)) else (seed,)
-    return tuple(_seed_int(s) for s in parts)
+    return tuple(_require_int(s, "seed") for s in parts)
 
 
 def _streams(seed, tag: int, trials: int):

@@ -9,12 +9,13 @@ with the same (version, config, seed) serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UsageError
-from .hermitian import _seed_int
+from .hermitian import _require_int
 
 #: Hard ceiling on Loewner-matrix order in CLI checks; desk-scale contract.
 DEFAULT_ORDER_CAP = 8
@@ -27,7 +28,7 @@ class RunConfig:
     trials overrides the per-criterion verification loop sizes (smoke runs
     use trials=1); fixed search budgets and enumerations keep their
     defaults.  tol, when set, replaces the relative PSD tolerance in the
-    checks that expose one.  The seed is mandatory: there is no wall-clock
+    checks that expose one; it must be a real number in (0, 1).  The seed is mandatory: there is no wall-clock
     fallback anywhere.
     """
 
@@ -36,19 +37,25 @@ class RunConfig:
     tol: float | None = None
 
     def __post_init__(self):
-        seed = _seed_int(self.seed)
+        seed = _require_int(self.seed, "seed")
         # the trial streams are seeded by numpy's SeedSequence, which refuses negatives
         if not 0 <= seed < 2**64:
             raise UsageError(f"seed must be in [0, 2**64), got {seed}")
         object.__setattr__(self, "seed", seed)
-        if self.trials is not None and int(self.trials) < 1:
-            raise UsageError(f"trials must be >= 1, got {self.trials}")
-        if self.tol is not None and not self.tol > 0.0:
-            raise UsageError(f"tol must be positive, got {self.tol}")
+        if self.trials is not None:
+            trials = _require_int(self.trials, "trials")
+            if trials < 1:
+                raise UsageError(f"trials must be >= 1, got {trials}")
+            object.__setattr__(self, "trials", trials)
+        # a relative PSD tolerance of 1 or more admits every matrix
+        if self.tol is not None and not (
+            isinstance(self.tol, numbers.Real) and 0.0 < self.tol < 1.0
+        ):
+            raise UsageError(f"tol must be a real number in (0, 1), got {self.tol!r}")
 
     def loop(self, default: int) -> int:
         """Size of a verification loop: the override, else the default."""
-        return default if self.trials is None else int(self.trials)
+        return default if self.trials is None else self.trials
 
     def echo(self) -> dict:
         return {

@@ -7,7 +7,7 @@ from loewnerlab.calculus import (
     path_derivative,
     path_second_derivative,
 )
-from loewnerlab.divdiff import dd1, dd2
+from loewnerlab.divdiff import dd2
 from loewnerlab.errors import UsageError
 from loewnerlab.functions import ScalarFunction, get_function
 from loewnerlab.hermitian import (
@@ -160,18 +160,16 @@ def test_chain_rule_evaluates_f_once_per_eigenvalue(n):
 
 
 def _scalar_loop_second_derivative(f, path, t):
-    """The chain rule with one scalar dd1/dd2 call per entry."""
+    """The chain rule with one scalar dd2 call per entry."""
     g = path.value(t)
     lam, u = np.linalg.eigh(g.entries)
     n = len(lam)
-    c = hermitian_part(u.conj().T @ path.deriv(t).entries @ u)
-    d1 = np.array([[dd1(f, lam[i], lam[j]) for j in range(n)] for i in range(n)])
+    c = hermitian_part(u.conj().T @ path.h.entries @ u)
     s = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
         d2k = np.array([[dd2(f, lam[i], lam[j], lam[k]) for j in range(n)]
                         for i in range(n)])
         s += 2.0 * d2k * np.outer(c[:, k], c[:, k].conj())
-    s += d1 * (u.conj().T @ path.deriv2(t).entries @ u)
     return hermitian_part(u @ s @ u.conj().T)
 
 

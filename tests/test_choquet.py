@@ -75,7 +75,7 @@ def test_envelope_properties(ys, seed):
     # majorizes exactly (the maximum guarantees it bitwise)
     assert np.all(env.ys >= ys)
     scale = max(1.0, float(np.abs(ys).max()))
-    assert is_concave_grid(env, tol=1e-12)
+    assert is_concave_grid(env)
     # idempotent up to roundoff
     again = concave_envelope(env)
     np.testing.assert_allclose(again.ys, env.ys, atol=1e-12 * scale)

@@ -445,6 +445,13 @@ def test_corrupt_json_is_usage_error(tmp_path, capsys):
     assert "bad.json" in err
 
 
+def test_boolean_matrix_order_is_usage_error(tmp_path, capsys):
+    m = write(tmp_path, "m.json", '{"n": true, "entries": [[[1.0, 0.0]]]}')
+    code, out, err = run(capsys, "mean", "arithmetic", m, m)
+    assert code == 2
+    assert out == "" and '"n" must be a positive integer' in err
+
+
 # --- report ----------------------------------------------------------------
 
 FAST_SUBSET = "refutation_witnesses,normalized_growth_bounds"
@@ -498,6 +505,14 @@ def test_report_empty_criteria_is_usage_error(capsys, criteria):
     code, out, err = run(capsys, "report", "--seed", "1", "--criteria", criteria)
     assert code == 2
     assert out == "" and "names no criterion" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "2", "1", "nan"])
+def test_report_tol_outside_the_unit_interval_is_usage_error(capsys, tol):
+    code, out, err = run(capsys, "report", "--seed", "1", "--tol", tol,
+                         "--criteria", "loewner_psd_certificate")
+    assert code == 2
+    assert out == "" and "tol must be a real number in (0, 1)" in err
 
 
 def test_report_requires_seed():

@@ -5,19 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loewnerlab import functions
 from loewnerlab.errors import NumericalFailure, UsageError
 from loewnerlab.functions import (
     OPERATOR_MONOTONE,
-    Mollifier,
     ScalarFunction,
+    _density,
+    _density_deriv,
     _kernel_table,
     _leggauss,
+    _normalizer,
     catalog,
     catalog_names,
     get_function,
     mollify,
     mollify_derivative,
-    standard_mollifier,
 )
 from loewnerlab.hermitian import Interval
 
@@ -91,14 +93,13 @@ def test_negated_flips_value_and_derivatives(x):
 
 
 def test_mollifier_normalization_and_symmetry():
-    m = standard_mollifier()
-    np.testing.assert_allclose(m.normalizer, 1.0 / BUMP_MASS, rtol=1e-10)
-    assert m.density(1.0) == 0.0
-    assert m.density(-1.2) == 0.0
+    np.testing.assert_allclose(_density(0.0), math.exp(-1.0) / BUMP_MASS, rtol=1e-10)
+    assert _density(1.0) == 0.0
+    assert _density(-1.2) == 0.0
     for x in (0.0, 0.3, 0.77):
-        np.testing.assert_allclose(m.density(x), m.density(-x), rtol=1e-15)
+        np.testing.assert_allclose(_density(x), _density(-x), rtol=1e-15)
         # odd derivative
-        np.testing.assert_allclose(m.density_deriv(x), -m.density_deriv(-x),
+        np.testing.assert_allclose(_density_deriv(x), -_density_deriv(-x),
                                    rtol=1e-15)
 
 
@@ -134,20 +135,6 @@ def test_mollify_derivative_matches_difference_of_mollified():
     np.testing.assert_allclose(mollify_derivative(f, eps, x), fd, atol=1e-8)
 
 
-def test_custom_mollifier_is_used():
-    # the raised-cosine kernel (1 + cos pi x)/2 has unit mass already
-    cosb = Mollifier(
-        profile=lambda x: 0.0 if abs(x) >= 1.0 else 0.5 * (1.0 + math.cos(math.pi * x)),
-        profile_deriv=lambda x: 0.0 if abs(x) >= 1.0 else -0.5 * math.pi * math.sin(math.pi * x),
-        normalizer=1.0,
-    )
-    f = ScalarFunction("affine", Interval(-5.0, 5.0), lambda t: 2.0 * t)
-    np.testing.assert_allclose(mollify(f, 0.5, 1.0, mollifier=cosb), 2.0, atol=1e-9)
-    np.testing.assert_allclose(
-        mollify_derivative(f, 0.5, 1.0, mollifier=cosb), 2.0, atol=1e-8
-    )
-
-
 # ---------------------------------------------------------------------------
 # The vector quadrature against a node-by-node reference sum
 
@@ -167,29 +154,20 @@ def _pointwise_gl(g, start=64, stop_tol=1e-10, cap=1024):
     raise AssertionError("reference quadrature did not settle")
 
 
-def _raised_cosine():
-    return Mollifier(
-        profile=lambda x: 0.0 if abs(x) >= 1.0 else 0.5 * (1.0 + math.cos(math.pi * x)),
-        profile_deriv=lambda x: 0.0 if abs(x) >= 1.0 else -0.5 * math.pi * math.sin(math.pi * x),
-        normalizer=1.0,
-    )
-
-
 _AFFINE_PROBE = ScalarFunction("affine_probe", Interval(0.1, 10.0), lambda t: 3.0 * t + 2.0)
 
 
-@pytest.mark.parametrize("mol", [None, "raised_cosine"])
+@pytest.mark.parametrize("mol", [None])
 @pytest.mark.parametrize("f", [get_function("sqrt"), _AFFINE_PROBE], ids=["sqrt", "affine"])
 @pytest.mark.parametrize("eps, x", [(0.1, 1.0), (0.05, 1.7), (0.01, 2.93), (0.5, 3.2)])
 def test_mollify_equals_pointwise_reference_bitwise(f, mol, eps, x):
-    m = _raised_cosine() if mol else standard_mollifier()
-    ref = _pointwise_gl(lambda y: f(x - eps * y) * m.density(y))
-    ref_d = _pointwise_gl(lambda y: f(x - eps * y) * m.density_deriv(y)) / eps
-    assert mollify(f, eps, x, mollifier=m) == ref
-    assert mollify_derivative(f, eps, x, mollifier=m) == ref_d
+    ref = _pointwise_gl(lambda y: f(x - eps * y) * _density(y))
+    ref_d = _pointwise_gl(lambda y: f(x - eps * y) * _density_deriv(y)) / eps
+    assert mollify(f, eps, x) == ref
+    assert mollify_derivative(f, eps, x) == ref_d
 
 
-def test_kernel_tables_are_built_once_and_read_only():
+def test_kernel_tables_are_built_once_and_read_only(monkeypatch):
     calls = {"profile": 0, "profile_deriv": 0}
 
     def counting(name, g):
@@ -198,22 +176,24 @@ def test_kernel_tables_are_built_once_and_read_only():
             return g(x)
         return h
 
-    base = standard_mollifier()
-    m = Mollifier(counting("profile", base.profile),
-                  counting("profile_deriv", base.profile_deriv), base.normalizer)
+    _normalizer()  # the normalizer's own quadrature is not counted
+    _kernel_table.cache_clear()
+    monkeypatch.setattr(functions, "_bump", counting("profile", functions._bump))
+    monkeypatch.setattr(functions, "_bump_deriv",
+                        counting("profile_deriv", functions._bump_deriv))
     f = ScalarFunction("affine", Interval(-10.0, 10.0), lambda t: 3.0 * t + 2.0)
-    mollify(f, 0.25, 1.0, mollifier=m)
+    mollify(f, 0.25, 1.0)
     # one table at the 64 nodes of the first level and one at 128, where it settles
     assert calls == {"profile": 64 + 128, "profile_deriv": 0}
-    mollify(f, 0.25, 2.5, mollifier=m)
+    mollify(f, 0.25, 2.5)
     assert calls == {"profile": 192, "profile_deriv": 0}
     # the derivative's table is separate; its quadrature settles at 256 nodes
-    mollify_derivative(f, 0.25, 2.5, mollifier=m)
+    mollify_derivative(f, 0.25, 2.5)
     assert calls == {"profile": 192, "profile_deriv": 64 + 128 + 256}
-    mollify_derivative(f, 0.25, -1.0, mollifier=m)
+    mollify_derivative(f, 0.25, -1.0)
     assert calls == {"profile": 192, "profile_deriv": 448}
     # the cached tables and the node vectors handed to integrands are read-only
-    for table in (_kernel_table(m.density, 64), *_leggauss(64)):
+    for table in (_kernel_table(_density, 64), *_leggauss(64)):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0

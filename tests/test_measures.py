@@ -117,6 +117,16 @@ def test_synthesize_rejects_points_off_the_half_line(t):
         f(t)
 
 
+@pytest.mark.parametrize("order", ["__call__", "deriv", "deriv2"])
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan])
+def test_synthesize_refuses_points_off_the_half_line_at_every_order(order, t):
+    # at t = -1 the kernel at lam = 0.5 divides by zero; at t = 0 the
+    # derivatives are finite numbers of a function not defined there
+    f = synthesize(RadonMeasure01(atoms=((0.5, 1.0), (0.2, 0.5))))
+    with pytest.raises(UsageError, match="t > 0"):
+        getattr(f, order)(t)
+
+
 def test_synthesize_derivatives_are_the_catalog_kernels():
     from loewnerlab.functions import get_function
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,26 @@ def test_runconfig_validation():
         RunConfig(seed=1, trials=0)
     with pytest.raises(UsageError):
         RunConfig(seed=1, tol=-1e-9)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 1, 1.0, 2.0, "1e-9", True])
+def test_runconfig_refuses_tol_outside_the_unit_interval(tol):
+    # lambda_min / ||M|| >= -1, so a tol of 1 or more would pass every PSD check
+    with pytest.raises(UsageError, match=r"tol must be a real number in \(0, 1\)"):
+        RunConfig(seed=1, tol=tol)
+
+
+@pytest.mark.parametrize("trials", [2.7, "3", "two", math.inf, math.nan])
+def test_runconfig_refuses_non_integral_trials(trials):
+    with pytest.raises(UsageError, match="trials must be an integer"):
+        RunConfig(seed=1, trials=trials)
+
+
+def test_runconfig_keeps_integral_trials_as_ints():
+    for trials in (3, 3.0, np.int64(3)):
+        cfg = RunConfig(seed=1, trials=trials)
+        assert cfg.loop(100) == cfg.echo()["trials"] == 3
+        assert type(cfg.trials) is int
 
 
 def test_runconfig_loop_override():
