@@ -6,11 +6,11 @@ Two finite-dimensional shadows of barycenter machinery:
    convex hull of its graph (monotone-chain), and
  * rewriting a convex combination of polytope vertices so that at most
    d + 1 vertices carry weight, by walking along null vectors of the lifted
-   vertex matrix until weights hit zero.  The walk takes a whole stack of
-   instances, zero-padded to one length: each pass makes one batched SVD of
-   the rows that share the largest support, so a stack of m-vertex rows
-   needs at most m - d - 1 passes.  caratheodory_decompose is its one-row
-   call.
+   vertex matrix until weights hit zero.  _decompose_each runs a list of
+   instances: each is started alone, all walk as one zero-padded stack per
+   d (each pass one batched SVD of the rows sharing the largest support, so
+   m-vertex rows need at most m - d - 1 passes), and each is finished
+   alone.  caratheodory_decompose is its one-instance call.
 
 The kernel side of the barycenter picture, a normalized function fitted as
 a mixture of extreme kernels with its mass pinned to one, is
@@ -269,6 +269,13 @@ def _finish(vertices, point, w) -> BarycenterResult:
     )
 
 
+def _decompose_each(instances: list) -> list:
+    """caratheodory_decompose over a list of (vertices, point, initial_weights)."""
+    started = [_start_weights(*inst) for inst in instances]
+    reduced = _reduce_each([(v, w) for v, _, w in started])
+    return [_finish(v, p, w) for (v, p, _), w in zip(started, reduced)]
+
+
 def caratheodory_decompose(
     vertices, point, initial_weights=None
 ) -> BarycenterResult:
@@ -276,10 +283,6 @@ def caratheodory_decompose(
 
     vertices: (m, d) array of rows; point: length-d vector.  When
     initial_weights is given it must already be feasible and is only
-    reduced (useful for exercising the reduction on its own).  This is the
-    one-row call of the stack walk _reduce_support, which takes at most
-    m - d - 1 passes.
+    reduced (useful for exercising the reduction on its own).
     """
-    vertices, point, w = _start_weights(vertices, point, initial_weights)
-    w = _reduce_support(vertices[None], w[None])[0]
-    return _finish(vertices, point, w)
+    return _decompose_each([(vertices, point, initial_weights)])[0]

@@ -36,7 +36,7 @@ from .fileio import (
     measure_to_obj,
     parse_point_arg,
 )
-from .functions import get_function
+from .functions import _node_values, get_function
 from .hermitian import Interval
 from .measures import RadonMeasure01, default_lambda_grid, fit_measure, synthesize
 from .monotonicity import (
@@ -139,7 +139,7 @@ def cmd_synth(args) -> int:
         raise UsageError(f"--count must be at least 1, got {args.count}")
     f = synthesize(load_measure(args.measure))
     ts = np.geomspace(args.tmin, args.tmax, args.count)
-    pairs = [(float(t), f(float(t))) for t in ts]
+    pairs = list(zip(ts.tolist(), _node_values(f, ts).tolist()))
     if args.format == "json":
         text = dump_json({"samples": [[t, v] for t, v in pairs]})
     else:

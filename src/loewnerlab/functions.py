@@ -9,8 +9,9 @@ harmonic representers -- together with deliberate non-examples (square, cube,
 exp) used to exercise refutation paths.
 
 _node_values evaluates a scalar callable at every entry of an array, on
-Python floats; the divided-difference builds, the matrix functions of
-calculus and the mollifier all evaluate f through it.
+Python floats.  It is the one route for f at many points: the divided
+differences, calculus's matrix functions, the mollifier, the positivity
+guard of monotonicity, `loewnerlab synth` and the acceptance criteria.
 
 The second half implements mollification: convolution against the compactly
 supported bump exp(-1/(1-x^2)), normalized to unit mass, evaluated by
@@ -39,7 +40,6 @@ from .hermitian import Interval, POSITIVE_AXIS
 
 # Classification tags (metadata only; every claim is re-checked numerically).
 OPERATOR_MONOTONE = "operator_monotone"
-OPERATOR_CONVEX = "operator_convex"
 NEITHER = "neither"
 UNKNOWN = "unknown"
 

@@ -254,9 +254,9 @@ _PLACEHOLDER_SEED = np.random.SeedSequence(0)
 
 
 def _require_int(value, what: str) -> int:
-    """value as an int; a non-integral value is refused, not truncated."""
+    """value as an int; a non-integral value or a bool is refused, not converted."""
     try:
-        out = int(value)
+        out = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or out != value:

@@ -10,8 +10,8 @@ as ordinary atoms at lam = 0 (the constant 1) and lam = 1 (the identity).
 The half-line coordinate s = lam/(1-lam), in which the kernel reads
 t(1+s)/(t+s), is a file format and a view: from_half_line reads endpoint
 masses and s atoms in, and alpha, beta and interior read them back out.
-kernel_inf and lambda_from_s remain as the scalar s-coordinate references
-that cross-checks compare against.
+kernel_inf and lambda_from_s, the s-coordinate references that cross-checks
+compare against, broadcast like kernel01 and give a float for scalar input.
 
 synthesize turns a measure into a ScalarFunction; fit_measure inverts it by
 nonnegative least squares on a fixed atom grid; endpoint_masses reads the
@@ -106,18 +106,22 @@ class RadonMeasure01:
         return acc
 
 
-def kernel_inf(s: float, x: float) -> float:
+def _at_inf(s, at_inf, finite):
+    """finite(s), or at_inf where s = inf; overflow gives inf as on floats."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/inf only where s = inf
+        out = np.where(np.isinf(s), at_inf, finite(s))
+    return float(out) if out.ndim == 0 else out
+
+
+def kernel_inf(s, x):
     """x (1+s) / (x+s) for x > 0; s = math.inf degenerates to x itself."""
-    if math.isinf(s):
-        return float(x)
-    return x * (1.0 + s) / (x + s)
+    return _at_inf(s, x, lambda s: x * (1.0 + s) / (x + s))
 
 
-def lambda_from_s(s: float) -> float:
+def lambda_from_s(s):
     """The substitution s -> s/(1+s), sending [0, inf] onto [0, 1]."""
-    if math.isinf(s):
-        return 1.0
-    return s / (1.0 + s)
+    return _at_inf(s, 1.0, lambda s: s / (1.0 + s))
 
 
 def synthesize(mu: RadonMeasure01) -> ScalarFunction:

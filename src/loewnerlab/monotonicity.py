@@ -44,7 +44,7 @@ from .divdiff import (
     difference_quotient_transform,
 )
 from .errors import NumericalFailure, UsageError
-from .functions import OPERATOR_MONOTONE, UNKNOWN, ScalarFunction, get_function
+from .functions import OPERATOR_MONOTONE, UNKNOWN, ScalarFunction, _node_values, get_function
 from .hermitian import (
     PSD_TOL,
     HermitianMatrix,
@@ -111,11 +111,17 @@ def sample_nodes(rng: np.random.Generator, n: int, iv: Interval) -> NodeSet:
     raise UsageError(f"could not draw {n} separated nodes in {iv}")
 
 
-def _check_inputs(f: ScalarFunction, iv: Interval, trials: int):
+def _check_inputs(f: ScalarFunction, n, iv: Interval, trials) -> tuple:
+    """(n, trials) as ints, with iv inside the domain of f."""
+    n, trials = _require_int(n, "n"), _require_int(trials, "trials")
+    # n = 0 goes on to the node-set and matrix builders, which refuse it
+    if n < 0:
+        raise UsageError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     if not (iv.lo >= f.domain.lo and iv.hi <= f.domain.hi):
         raise UsageError(f"{iv} is not inside the domain of {f.name}")
+    return n, trials
 
 
 def _draw_node_sets(seed, tag, n, iv, trials) -> np.ndarray:
@@ -176,7 +182,7 @@ def check_monotone_order_n(
     f: ScalarFunction, n: int, iv: Interval, trials: int, seed
 ) -> Verdict:
     """PSD test of [dd1(f, t_i, t_j)] over `trials` random order-n node sets."""
-    _check_inputs(f, iv, trials)
+    n, trials = _check_inputs(f, n, iv, trials)
     ts = _draw_node_sets(seed, _TAG_MONOTONE, n, iv, trials)
     return _decide("monotone_order_n", f, n, _loewner_stack(f, ts), _node_set(ts, iv))
 
@@ -185,7 +191,7 @@ def check_convex_order_n(
     f: ScalarFunction, n: int, iv: Interval, trials: int, seed
 ) -> Verdict:
     """PSD test of [dd2(f, t_i, t_j, t_1)] with the first node as anchor."""
-    _check_inputs(f, iv, trials)
+    n, trials = _check_inputs(f, n, iv, trials)
     ts = _draw_node_sets(seed, _TAG_CONVEX, n, iv, trials)
     stack = _anchored_stack(f, ts, ts[:, 0])
     return _decide("convex_order_n", f, n, stack, _node_set(ts, iv))
@@ -199,7 +205,7 @@ def check_monotone_direct(
     f: ScalarFunction, n: int, iv: Interval, trials: int, seed
 ) -> Verdict:
     """f(A) <= f(B) on random ordered pairs A <= B with spectra in iv."""
-    _check_inputs(f, iv, trials)
+    n, trials = _check_inputs(f, n, iv, trials)
     stream = _streams(seed, _TAG_DIRECT, trials)
     draws = [_draw_ordered_pair(n, iv, stream(t)) for t in range(trials)]
     a, b = _build_ordered_pairs(iv, *(np.array(x) for x in zip(*draws)))
@@ -211,7 +217,7 @@ def check_midpoint_concavity(
     f: ScalarFunction, n: int, iv: Interval, trials: int, seed
 ) -> Verdict:
     """(f(A) + f(B))/2 <= f((A+B)/2) on independent random pairs."""
-    _check_inputs(f, iv, trials)
+    n, trials = _check_inputs(f, n, iv, trials)
     stream = _streams(seed, _TAG_MIDPOINT, trials)
     draws = []
     for t in range(trials):
@@ -235,11 +241,10 @@ def _require_positive_on_domain(f: ScalarFunction):
     hi = min(hi, max(1e3, 10.0 * lo))
     lo, hi = lo * (1 + 1e-9) + 1e-12, hi * (1 - 1e-9)
     xs = np.geomspace(lo, hi, 25) if lo > 0 else np.linspace(lo, hi, 25)
-    for x in xs:
-        if not f(x) > 0.0:
-            raise UsageError(
-                f"{f.name} is not positive on its domain (f({x:.6g}) = {f(x):.6g})"
-            )
+    vals = _node_values(f, xs)
+    if not (vals > 0.0).all():
+        k = int(np.argmin(vals > 0.0))
+        raise UsageError(f"{f.name} is not positive on its domain (f({xs[k]:.6g}) = {vals[k]:.6g})")
 
 
 def transform_involution(f: ScalarFunction) -> ScalarFunction:

@@ -32,8 +32,14 @@ from loewnerlab.hermitian import (
     random_hermitian,
     random_ordered_pair,
 )
-from loewnerlab.measures import synthesize
-from loewnerlab.monotonicity import sample_nodes
+from loewnerlab.measures import (
+    RadonMeasure01,
+    default_lambda_grid,
+    fit_measure,
+    kernel01,
+    synthesize,
+)
+from loewnerlab.monotonicity import derivative_bound_at_one, extreme_decomposition, sample_nodes
 from loewnerlab.report import RunConfig
 
 GATE_SEED = 1234
@@ -146,7 +152,7 @@ def _ref_kubo_ando(cfg):
     for name, spec in specs:
         g_kernel = synthesize(spec)
         for x in xs:
-            v1, v2 = acc._half_line_representing(spec, float(x)), g_kernel(float(x))
+            v1, v2 = _ref_half_line(spec, float(x)), g_kernel(float(x))
             worst_rep = max(worst_rep, abs(v1 - v2) / max(1.0, abs(v1)))
 
     ok = (
@@ -181,6 +187,19 @@ def _ref_kubo_ando(cfg):
 
 def _specnorm(m):
     return float(np.linalg.norm(m, 2))
+
+
+def _scalar_kernel_inf(s, x):
+    """measures.kernel_inf's scalar form on Python floats."""
+    return float(x) if math.isinf(s) else x * (1.0 + s) / (x + s)
+
+
+def _ref_half_line(mu, x):
+    """The representing function at one point, atom by atom."""
+    total = mu.alpha + mu.beta * x
+    for s, w in mu.interior:
+        total += w * _scalar_kernel_inf(s, x)
+    return total
 
 
 def _plus_eps(a, eps):
@@ -257,6 +276,97 @@ def test_growth_bounds_evidence_equals_pairwise_reference():
            checks.worst["worst_slope_bound_excess"])
     assert got == _ref_p1_bounds()
     assert all(type(v) is float for v in got)
+
+
+# ---------------------------------------------------------------------------
+# extreme_point_machinery, representation_roundtrips and the representing-
+# function check of kubo_ando_axioms against point-by-point references
+#
+# Each reference evaluates every function one point at a time and observes
+# every value in order, as the criteria did before they evaluated through
+# _node_values and the broadcast s-coordinate references.
+
+
+def _ref_extreme_points(cfg):
+    members = acc._p1_members()
+    grid = np.geomspace(0.01, 100.0, 100)
+    weights = {}
+    checks = acc._Checks()
+    for f in members:
+        w = derivative_bound_at_one(f)
+        weights[f.name] = w
+        checks.at_least("min_derivative_weight", w, 0.0)
+        checks.at_most("max_derivative_weight", w, 1.0 + 1e-8)
+        dec = extreme_decomposition(f)
+        for t in grid:
+            lhs = dec.weight * dec.f1(float(t)) + (1.0 - dec.weight) * dec.f2(float(t))
+            checks.at_most("worst_decomposition_error", abs(lhs - f(float(t))), 1e-10)
+    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
+        err = abs(get_function(f"kernel:{lam:g}").deriv(1.0) - lam)
+        checks.at_most("kernel_weight_error", err, 1e-12)
+    return {"members": [f.name for f in members], "derivative_weights": weights,
+            "grid_points": len(grid)}, checks
+
+
+def _ref_representation(cfg):
+    grid = default_lambda_grid(200)
+    idx = (0, 100, 150, 199)
+    true_w = (0.3, 0.25, 0.2, 0.25)
+    mu0 = RadonMeasure01(atoms=tuple((float(grid[i]), w) for i, w in zip(idx, true_w)))
+    f0 = synthesize(mu0)
+    mu1, resid0 = fit_measure([(float(t), f0(float(t))) for t in np.geomspace(1e-3, 1e3, 60)],
+                              grid)
+    got = dict(mu1.atoms)
+    weight_err = max(abs(got.get(float(grid[i]), 0.0) - w) for i, w in zip(idx, true_w))
+    spurious = sum(w for lam, w in mu1.atoms if lam not in {float(grid[i]) for i in idx})
+    checks = acc._Checks()
+    checks.at_most("roundtrip_weight_error", max(weight_err, spurious), 1e-8)
+
+    sqrt_samples = [(float(t), math.sqrt(t)) for t in np.geomspace(1e-3, 1e3, 100)]
+    mu_sqrt, resid_sqrt = fit_measure(sqrt_samples, grid)
+    checks.at_most("sqrt_fit_residual", resid_sqrt, 1e-6)
+    exact = synthesize(mu0)(1.0) == mu0.total_mass()
+    exact_fit = synthesize(mu_sqrt)(1.0) == mu_sqrt.total_mass()
+    checks.equal("mass_at_one_exact", bool(exact and exact_fit), True)
+
+    for s in np.geomspace(1e-2, 1e2, 50).tolist():
+        lam = s / (1.0 + s)
+        for x in np.geomspace(1e-2, 1e2, 50).tolist():
+            ki, k0 = _scalar_kernel_inf(s, x), kernel01(lam, x)
+            checks.at_most("kernel_conversion_error", abs(ki - k0) / max(1.0, abs(ki)), 1e-14)
+    return {"roundtrip_residual": resid0, "sqrt_fit_support": len(mu_sqrt.atoms),
+            "kernel_grid": [1e-2, 1e2, 50]}, checks
+
+
+@pytest.mark.parametrize("seed", [1234, 0, 77])
+@pytest.mark.parametrize("crit,ref", [
+    (acc.crit_extreme_points, _ref_extreme_points),
+    (acc.crit_representation, _ref_representation),
+], ids=["extreme_point_machinery", "representation_roundtrips"])
+def test_point_loop_criteria_equal_point_by_point_reference(crit, ref, seed):
+    cfg = RunConfig(seed=seed)
+    got, want = crit(cfg), ref(cfg)
+    # unsorted dumps: the key order of the evidence is part of the report bytes
+    assert json.dumps([got[0], got[1].worst, got[1].bounds]) == json.dumps(
+        [want[0], want[1].worst, want[1].bounds])
+
+
+@pytest.mark.parametrize("seed", [1234, 0, 77])
+def test_representing_check_equals_point_by_point_reference(seed):
+    _, checks = acc.crit_kubo_ando(RunConfig(seed=seed, trials=1))
+    worst = None
+    for spec in (arithmetic_spec(), harmonic_spec(), geometric_spec(200)):
+        g_kernel = synthesize(spec)
+        for x in np.geomspace(1e-2, 1e2, 50).tolist():
+            v1 = _ref_half_line(spec, x)
+            rep = abs(v1 - g_kernel(x)) / max(1.0, abs(v1))
+            worst = rep if worst is None or rep > worst else worst
+    assert checks.worst["representing_vs_kernel_err"] == worst
+    assert list(checks.worst) == [
+        "worst_monotonicity_min_eig", "worst_transformer_rel_err",
+        "worst_downward_chain_min_eig", "worst_limit_gap_over_bound",
+        "geometric_vs_closed_rel_err", "representing_vs_kernel_err",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -340,15 +340,17 @@ def test_criterion_walks_once_per_support_size(monkeypatch):
 def test_criterion_evidence_matches_per_instance_loop():
     cfg = RunConfig(seed=1234, trials=30)
     ev, checks = crit_choquet(cfg)
-    worst, largest = 0.0, 0
+    worst, largest, ratio = 0.0, 0, 0.0
     for verts, point, w0 in _criterion_draws(1234, 300):
         res = caratheodory_decompose(verts, point, initial_weights=w0)
         worst = max(worst, res.residual)
         largest = max(largest, res.support_size())
+        ratio = max(ratio, res.support_size() / (verts.shape[1] + 1))
         assert res.support_size() <= verts.shape[1] + 1
     assert checks.passed()
     assert ev["caratheodory_instances"] == 300
     assert checks.worst["caratheodory_worst_residual"] == worst
+    assert checks.worst["caratheodory_support_over_d_plus_one"] == ratio
     assert ev["caratheodory_max_support_excess"] == largest
 
 

@@ -14,7 +14,9 @@ import loewnerlab
 from loewnerlab import monotonicity as mono
 from loewnerlab.cli import main
 from loewnerlab.connections import geometric_mean_closed_form
+from loewnerlab.fileio import dump_json, dump_samples_csv, load_measure
 from loewnerlab.hermitian import HermitianMatrix
+from loewnerlab.measures import synthesize
 
 
 def run(capsys, *argv):
@@ -209,6 +211,20 @@ def test_synth_rejects_bad_sample_range(tmp_path, capsys, argv):
     code, out, err = run(capsys, "synth", mu, *argv)
     assert code == 2
     assert out == "" and err.startswith("error: --")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_synth_bytes_equal_a_point_by_point_reference(tmp_path, capsys, fmt):
+    mu = write(tmp_path, "mu.json", '{"mass0": 0.25, "massInf": 0.75, "interior": '
+               '[{"s": 2.0, "w": 0.5}, {"s": 0.3, "w": 0.125}]}')
+    code, out, _ = run(capsys, "synth", mu, "--format", fmt, "--tmin", "0.01",
+                       "--tmax", "100", "--count", "57")
+    assert code == 0
+    f = synthesize(load_measure(mu))
+    pairs = [(float(t), f(float(t))) for t in np.geomspace(0.01, 100.0, 57)]
+    want = dump_samples_csv(pairs) if fmt == "csv" else dump_json(
+        {"samples": [[t, v] for t, v in pairs]})
+    assert out == want
 
 
 def test_synth_then_fit_roundtrip(tmp_path, capsys):

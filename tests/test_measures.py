@@ -80,6 +80,30 @@ def test_kernel_change_of_variables(s, x):
     assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 
+def _scalar_kernel_inf(s, x):
+    """kernel_inf's scalar form on Python floats."""
+    return float(x) if math.isinf(s) else x * (1.0 + s) / (x + s)
+
+
+def _scalar_lambda_from_s(s):
+    return 1.0 if math.isinf(s) else s / (1.0 + s)
+
+
+def test_broadcast_s_references_equal_the_scalar_forms_bitwise():
+    ss = np.append(np.geomspace(1e-12, 1e12, 97), [0.0, math.inf])
+    xs = np.geomspace(1e-6, 1e6, 61)
+    want = [[_scalar_kernel_inf(s, x) for x in xs.tolist()] for s in ss.tolist()]
+    assert kernel_inf(ss[:, None], xs).tobytes() == np.array(want).tobytes()
+    want = [_scalar_lambda_from_s(s) for s in ss.tolist()]
+    assert lambda_from_s(ss).tobytes() == np.array(want).tobytes()
+    assert kernel_inf(math.inf, xs).tobytes() == xs.tobytes()
+    # scalar input gives a float, equal to the scalar form
+    for s in ss.tolist():
+        got = (kernel_inf(s, 2.5), lambda_from_s(s))
+        assert got == (_scalar_kernel_inf(s, 2.5), _scalar_lambda_from_s(s))
+        assert all(type(v) is float for v in got)
+
+
 def test_substitution_roundtrip():
     for s in (1e-300, 0.5, 1.0, 123.0, 1e3):
         (back, w), = half_line(interior=((s, 1.0),)).interior

@@ -397,6 +397,23 @@ def test_trials_below_one_is_a_usage_error(checker):
             checker(get_function("sqrt"), 2, IV, trials, 0)
 
 
+@pytest.mark.parametrize("checker", CHECKERS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("n,trials,name", [
+    (-1, 5, "n"), (2.5, 5, "n"), (True, 5, "n"), (2, 2.7, "trials"), (2, True, "trials"),
+], ids=["n=-1", "n=2.5", "n=True", "trials=2.7", "trials=True"])
+def test_bad_order_or_trial_count_is_a_usage_error_naming_it(checker, n, trials, name):
+    with pytest.raises(UsageError, match=f"^{name} must be"):
+        checker(get_function("sqrt"), n, IV, trials, 0)
+
+
+@pytest.mark.parametrize("checker", CHECKERS, ids=lambda c: c.__name__)
+def test_integral_float_order_and_trials_run_as_ints(checker):
+    got = checker(get_function("sqrt"), 2.0, IV, 3.0, 0)
+    want = checker(get_function("sqrt"), 2, IV, 3, 0)
+    assert (got.order, got.trials, got.min_eig_seen) == (want.order, want.trials, want.min_eig_seen)
+    assert type(got.order) is int and type(got.trials) is int
+
+
 def _ref_sample_nodes(rng, n, iv):
     for _ in range(100):
         ts = rng.uniform(iv.lo, iv.hi, n)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from loewnerlab.errors import UsageError
+from loewnerlab.hermitian import _require_int
 from loewnerlab.report import CheckRecord, RunConfig, _clean, make_report
 
 
@@ -38,6 +39,17 @@ def test_runconfig_refuses_tol_outside_the_unit_interval(tol):
 def test_runconfig_refuses_non_integral_trials(trials):
     with pytest.raises(UsageError, match="trials must be an integer"):
         RunConfig(seed=1, trials=trials)
+
+
+def test_runconfig_refuses_boolean_seed_and_trials():
+    # True == 1, but a flag is no count: RunConfig(seed=True, trials=True)
+    # used to echo {"seed": 1, "trials": 1}
+    for kwargs in ({"seed": True, "trials": True}, {"seed": np.bool_(False)},
+                   {"seed": 1, "trials": True}):
+        with pytest.raises(UsageError, match="must be an integer"):
+            RunConfig(**kwargs)
+    with pytest.raises(UsageError, match="n must be an integer, got True"):
+        _require_int(True, "n")
 
 
 def test_runconfig_keeps_integral_trials_as_ints():
