@@ -467,12 +467,16 @@ def crit_regularization(cfg: RunConfig):
     checks = _Checks()
     checks.at_most("normalization_error", abs(float(np.trapezoid(vals, xs)) - 1.0), 1e-10)
 
+    def line(t):  # plain arithmetic, so also its own array form
+        return 3.0 * t + 2.0
+
     affine = ScalarFunction(
         name="affine_probe",
         domain=Interval(0.1, 10.0),
-        fn=lambda t: 3.0 * t + 2.0,
+        fn=line,
         d1=lambda t: 3.0,
         d2=lambda t: 0.0,
+        array_forms=(line, None, None),
     )
     xs = np.linspace(1.0, 3.0, 21)
     err = np.abs(_node_values(partial(mollify, affine, 0.05), xs) - _node_values(affine, xs))

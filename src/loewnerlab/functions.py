@@ -8,22 +8,34 @@ catalog collects the standard positive operator monotone functions on
 harmonic representers -- together with deliberate non-examples (square, cube,
 exp) used to exercise refutation paths.
 
-_node_values evaluates a scalar callable at every entry of an array, on
-Python floats.  It is the one route for f at many points: the divided
-differences, calculus's matrix functions, the mollifier, the positivity
-guard of monotonicity, `loewnerlab synth` and the acceptance criteria.
+_node_values evaluates f, f.deriv or f.deriv2 (or any scalar callable, such
+as a mollifier density) at every entry of an array.  It is the one route for
+f at many points: the divided differences, calculus's matrix functions, the
+mollifier, the positivity guard of monotonicity, `loewnerlab synth` and the
+acceptance criteria.  A ScalarFunction may declare array forms of fn, d1 and
+d2, and _node_values uses the declared form in one numpy pass.  A form is
+declared only where it equals the scalar callable bitwise at every float:
+numpy runs one correctly rounded ufunc per +, -, *, / and sqrt, as Python
+does.  So id, const1, arithmetic, square and every kernel:lam declare all
+three forms, sqrt declares f and f' (0.5 / sqrt t) and harmonic_rep f only.
+power:p, cube, exp, sqrt's f'' (t ** -1.5), harmonic_rep's f' and f'' and
+the bump stay scalar: numpy's ** and exp are not Python's pow and math.exp
+in the last bits.  negated, the kernel mixtures of measures.synthesize and
+monotonicity.transform_involution compose forms with the same operations.
+Fallback rule: a form runs under np.errstate(raise) for divide, overflow and
+invalid; when it raises FloatingPointError, or UsageError for a point
+outside what it accepts, the whole array goes through the scalar callable
+point by point, which returns or raises exactly what it would alone.
 
 The second half implements mollification: convolution against the compactly
 supported bump exp(-1/(1-x^2)), normalized to unit mass, evaluated by
 adaptive Gauss-Legendre quadrature.  Differentiating the kernel instead of
 the function gives derivatives of the smoothed function without ever
 differencing the input.  The quadrature integrand works on a whole level's
-node vector: f is evaluated at x - eps*y for every node y, and the kernel
-at the nodes is read from a read-only table built point by point once per
-(kernel, node count), the kernel being _density or its derivative
-_density_deriv, and kept in a bounded cache.  The bump and catalog
-callables stay scalar (math.exp and Python pow, not numpy's, whose last
-bits differ), so every value equals the node-by-node sum bitwise.
+node vector: f is evaluated at x - eps*y for every node y through
+_node_values, and the kernel at the nodes is read from a read-only table
+built point by point once per (kernel, node count), the kernel being
+_density or its derivative _density_deriv, and kept in a bounded cache.
 """
 
 from __future__ import annotations
@@ -54,8 +66,11 @@ class ScalarFunction:
 
     deriv/deriv2 use the closed forms when provided and otherwise fall back
     to central differences with steps h ~ eps^(1/3) resp. eps^(1/4), scaled
-    by max(1, |x|).  A value too large for a float (math.exp(1000)) is a
-    NumericalFailure naming the function and the point.
+    by max(1, |x|).  A value too large for a float (math.exp(1000)) or a
+    division by zero (0.5 / sqrt(0.0)) is a NumericalFailure naming the
+    function and the point.  array_forms holds the numpy forms of (fn, d1,
+    d2) that _node_values uses, each None or bitwise equal to its scalar
+    callable wherever that returns a value.
     """
 
     name: str
@@ -64,6 +79,7 @@ class ScalarFunction:
     d1: Optional[Callable[[float], float]] = None
     d2: Optional[Callable[[float], float]] = None
     claimed_class: str = UNKNOWN
+    array_forms: tuple = (None, None, None)
 
     def __call__(self, x: float) -> float:
         return self._eval(self.fn, x, "")
@@ -85,21 +101,56 @@ class ScalarFunction:
             return float(g(x))
         except OverflowError as exc:
             raise NumericalFailure(f"{self.name}{primes}({float(x)!r}) overflows: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise NumericalFailure(
+                f"{self.name}{primes}({float(x)!r}) divides by zero: {exc}"
+            ) from exc
 
     def negated(self) -> "ScalarFunction":
-        fn, d1, d2 = self.fn, self.d1, self.d2
+        def neg(g):  # scalar and array forms alike
+            return None if g is None else (lambda x: -g(x))
+
         return ScalarFunction(
             name=f"neg({self.name})",
             domain=self.domain,
-            fn=lambda x: -fn(x),
-            d1=None if d1 is None else (lambda x: -d1(x)),
-            d2=None if d2 is None else (lambda x: -d2(x)),
+            fn=neg(self.fn),
+            d1=neg(self.d1),
+            d2=neg(self.d2),
             claimed_class=UNKNOWN,
+            array_forms=tuple(map(neg, self.array_forms)),
         )
 
 
+def _full(value: float):
+    """The array form of a constant callable: value at every entry."""
+    return lambda t: np.full_like(t, value)
+
+
+# the bound methods an array form stands in for, by index into array_forms
+_FORM_INDEX = {ScalarFunction.__call__: 0, ScalarFunction.deriv: 1, ScalarFunction.deriv2: 2}
+
+
+def _array_form(g):
+    """The array form declared for g -- f, f.deriv or f.deriv2 -- or None."""
+    if isinstance(g, ScalarFunction):
+        return g.array_forms[0]
+    k = _FORM_INDEX.get(getattr(g, "__func__", None))
+    return None if k is None else g.__self__.array_forms[k]
+
+
 def _node_values(g, ts: np.ndarray) -> np.ndarray:
-    """g (f, f.deriv, a density) at every entry of ts, called on Python floats."""
+    """g (f, f.deriv, f.deriv2, a density) at every entry of ts.
+
+    g's declared array form runs in one pass; when it refuses, or there is
+    none, g is called on Python floats entry by entry (see the module notes).
+    """
+    form = _array_form(g)
+    if form is not None:
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                return form(np.asarray(ts, dtype=np.float64))
+        except (FloatingPointError, UsageError):
+            pass
     return np.array([g(x) for x in ts.ravel().tolist()]).reshape(ts.shape)
 
 
@@ -127,13 +178,15 @@ def kernel01_d2(lam, t):
 
 def _moebius_kernel(lam: float) -> ScalarFunction:
     l = float(lam)
+    fn, d1, d2 = (partial(k, l) for k in (kernel01, kernel01_d1, kernel01_d2))
     return ScalarFunction(
         name=f"kernel:{l:g}",
         domain=POSITIVE_AXIS,
-        fn=partial(kernel01, l),
-        d1=partial(kernel01_d1, l),
-        d2=partial(kernel01_d2, l),
+        fn=fn,
+        d1=d1,
+        d2=d2,
         claimed_class=OPERATOR_MONOTONE,
+        array_forms=(fn, d1, d2),  # plain arithmetic broadcasts
     )
 
 
@@ -151,23 +204,31 @@ def _power(p: float) -> ScalarFunction:
 
 def _fixed_members() -> dict[str, ScalarFunction]:
     pos = POSITIVE_AXIS
+    zero, one = _full(0.0), _full(1.0)
+    # the array forms of arithmetic, harmonic_rep and square are their scalar
+    # callables: plain arithmetic broadcasts
+    arithmetic = lambda t: (1.0 + t) / 2.0
+    harmonic = lambda t: 2.0 * t / (1.0 + t)
+    square, twice = lambda t: t * t, lambda t: 2.0 * t
     members = [
         ScalarFunction("id", pos, lambda t: t, lambda t: 1.0, lambda t: 0.0,
-                       OPERATOR_MONOTONE),
+                       OPERATOR_MONOTONE, (np.copy, one, zero)),
         ScalarFunction("const1", pos, lambda t: 1.0, lambda t: 0.0, lambda t: 0.0,
-                       OPERATOR_MONOTONE),
+                       OPERATOR_MONOTONE, (one, zero, zero)),
         ScalarFunction("sqrt", pos, math.sqrt,
                        lambda t: 0.5 / math.sqrt(t),
                        lambda t: -0.25 * t ** (-1.5),
-                       OPERATOR_MONOTONE),
-        ScalarFunction("arithmetic", pos, lambda t: (1.0 + t) / 2.0,
-                       lambda t: 0.5, lambda t: 0.0, OPERATOR_MONOTONE),
-        ScalarFunction("harmonic_rep", pos, lambda t: 2.0 * t / (1.0 + t),
+                       OPERATOR_MONOTONE,
+                       (np.sqrt, lambda t: 0.5 / np.sqrt(t), None)),
+        ScalarFunction("arithmetic", pos, arithmetic,
+                       lambda t: 0.5, lambda t: 0.0, OPERATOR_MONOTONE,
+                       (arithmetic, _full(0.5), zero)),
+        ScalarFunction("harmonic_rep", pos, harmonic,
                        lambda t: 2.0 / (1.0 + t) ** 2,
                        lambda t: -4.0 / (1.0 + t) ** 3,
-                       OPERATOR_MONOTONE),
-        ScalarFunction("square", pos, lambda t: t * t, lambda t: 2.0 * t,
-                       lambda t: 2.0, NEITHER),
+                       OPERATOR_MONOTONE, (harmonic, None, None)),
+        ScalarFunction("square", pos, square, twice,
+                       lambda t: 2.0, NEITHER, (square, twice, _full(2.0))),
         ScalarFunction("cube", pos, lambda t: t**3, lambda t: 3.0 * t * t,
                        lambda t: 6.0 * t, NEITHER),
         ScalarFunction("exp", pos, math.exp, math.exp, math.exp, NEITHER),

@@ -35,6 +35,9 @@ from .hermitian import POSITIVE_AXIS
 #: Atoms with fitted weight at or below this floor are dropped.
 W_FLOOR = 1e-10
 
+# entries per (points, atoms) block of a mixture's array form, 512 KB
+_MIX_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class RadonMeasure01:
@@ -130,9 +133,10 @@ def synthesize(mu: RadonMeasure01) -> ScalarFunction:
     Its value at t = 1 is the total mass of mu, bitwise, because every kernel
     evaluates to exactly 1 there and the accumulation order matches
     total_mass().  Evaluating it or either derivative at t <= 0 (or NaN)
-    raises UsageError.
+    raises UsageError.  The array forms give the same sums bitwise.
     """
     pairs = mu.atoms
+    lams, ws = np.array([lam for lam, _ in pairs]), np.array([w for _, w in pairs])
 
     def mixture(kernel):
         """t -> sum w * kernel(lam, t) over the atoms, in construction order."""
@@ -147,6 +151,25 @@ def synthesize(mu: RadonMeasure01) -> ScalarFunction:
 
         return g
 
+    def mixture_array(kernel):
+        """The same sums at every entry of t: (points, atoms) terms per block
+        of points, each row added left to right by cumsum (np.sum's pairwise
+        order would move the last bits)."""
+        step = max(1, _MIX_BLOCK // len(pairs))
+
+        def g(t):
+            if not (t > 0.0).all():
+                raise UsageError("kernel mixture needs t > 0")  # replayed point by point
+            flat = t.reshape(-1)
+            out = np.empty_like(flat)
+            for i in range(0, flat.size, step):
+                terms = ws * kernel(lams, flat[i : i + step, None])
+                out[i : i + step] = np.cumsum(terms, axis=-1)[:, -1]
+            # the scalar sum starts from 0.0, which turns a sum of -0.0 terms into 0.0
+            return (out + 0.0).reshape(t.shape)
+
+        return g
+
     return ScalarFunction(
         name=f"mix[{len(pairs)}]",
         domain=POSITIVE_AXIS,
@@ -154,6 +177,7 @@ def synthesize(mu: RadonMeasure01) -> ScalarFunction:
         d1=mixture(kernel01_d1),
         d2=mixture(kernel01_d2),
         claimed_class=OPERATOR_MONOTONE,
+        array_forms=tuple(map(mixture_array, (kernel01, kernel01_d1, kernel01_d2))),
     )
 
 

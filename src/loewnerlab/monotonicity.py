@@ -114,8 +114,7 @@ def sample_nodes(rng: np.random.Generator, n: int, iv: Interval) -> NodeSet:
 def _check_inputs(f: ScalarFunction, n, iv: Interval, trials) -> tuple:
     """(n, trials) as ints, with iv inside the domain of f."""
     n, trials = _require_int(n, "n"), _require_int(trials, "trials")
-    # n = 0 goes on to the node-set and matrix builders, which refuse it
-    if n < 0:
+    if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -253,23 +252,33 @@ def transform_involution(f: ScalarFunction) -> ScalarFunction:
     fn, d1, d2 = f.fn, f.d1, f.d2
     closed = d1 is not None and d2 is not None
 
-    def g(t):
-        return t * fn(1.0 / t)
+    # value and slope take f's scalar callables or its array forms alike
+    def value(fn):
+        return lambda t: t * fn(1.0 / t)
 
-    def g1(t):
-        r = 1.0 / t
-        return fn(r) - d1(r) * r
+    def slope(fn, d1):
+        def g1(t):
+            r = 1.0 / t
+            return fn(r) - d1(r) * r
+
+        return g1
 
     def g2(t):
         return d2(1.0 / t) / (t**3)
 
+    fa, d1a, _ = f.array_forms
     return ScalarFunction(
         name=f"involution({f.name})",
         domain=f.domain,
-        fn=g,
-        d1=g1 if closed else None,
+        fn=value(fn),
+        d1=slope(fn, d1) if closed else None,
         d2=g2 if closed else None,
         claimed_class=f.claimed_class,
+        array_forms=(
+            None if fa is None else value(fa),
+            slope(fa, d1a) if closed and fa is not None and d1a is not None else None,
+            None,  # t**3 is pow in Python, not in numpy
+        ),
     )
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from loewnerlab import acceptance as acc
+from loewnerlab import cli
 from loewnerlab.acceptance import CRITERIA, criterion_names, run_acceptance, run_criterion
 from loewnerlab.connections import (
     arithmetic_spec,
@@ -21,7 +22,7 @@ from loewnerlab.connections import (
     harmonic_spec,
 )
 from loewnerlab.divdiff import NodeSet, loewner_matrix
-from loewnerlab.functions import _kernel_table, get_function
+from loewnerlab.functions import ScalarFunction, _kernel_table, get_function
 from loewnerlab.hermitian import (
     PSD_TOL,
     HermitianMatrix,
@@ -75,6 +76,23 @@ def test_full_report_passes_and_counts_every_criterion():
     assert [r.name for r in report.records] == criterion_names()
     for record in json.loads(report.to_json())["records"]:
         assert _rederived(record) == record["outcome"], record["name"]
+
+
+def test_report_calls_f_on_python_floats_at_most_60000_times(monkeypatch, capsys):
+    # a deterministic count: 442 815 calls when every f went point by point,
+    # 40 972 with the catalog's array forms behind _node_values
+    calls = 0
+    scalar_call = ScalarFunction.__call__
+
+    def counted(f, x):
+        nonlocal calls
+        calls += 1
+        return scalar_call(f, x)
+
+    monkeypatch.setattr(ScalarFunction, "__call__", counted)
+    assert cli.main(["report", "--seed", str(GATE_SEED)]) == 0
+    capsys.readouterr()
+    assert 0 < calls <= 60_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Divided differences against hand-computed polynomial and sqrt values."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from loewnerlab.divdiff import (
     loewner_matrix,
     second_dd_matrix,
 )
-from loewnerlab.errors import UsageError
+from loewnerlab.errors import NumericalFailure, UsageError
 from loewnerlab.functions import ScalarFunction, get_function
 from loewnerlab.hermitian import POSITIVE_AXIS, Interval
 
@@ -154,6 +156,21 @@ def _counted(f):
     return g, calls
 
 
+def _counted_forms(f):
+    """_counted(f) with counted array forms of its value and f' added."""
+    g, calls = _counted(f)
+    calls.update(f_array=0, d1_array=0)
+
+    def wrap(key, form):
+        def c(ts):
+            calls[key] += 1
+            return form(ts)
+        return c
+
+    fa, d1a, _ = f.array_forms
+    return dataclasses.replace(g, array_forms=(wrap("f_array", fa), wrap("d1_array", d1a), None)), calls
+
+
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_stacks_evaluate_f_once_per_node(n):
     rows = 50
@@ -169,6 +186,26 @@ def test_stacks_evaluate_f_once_per_node(n):
     f, calls = _counted(get_function("sqrt"))
     _anchored_stack(f, ts, ts[:, 0])
     assert calls == {"f": rows * (n + 1), "d1": rows * (n + 1), "d2": rows}
+    # with array forms of f and f' declared, each stack calls each form once
+    # and the scalar f and f' never; sqrt's f'' has no form and stays scalar
+    for stack, d2 in ((lambda f: _loewner_stack(f, ts), 0),
+                      (lambda f: _anchored_stack(f, ts, np.full(rows, 10.5)), 0),
+                      (lambda f: _anchored_stack(f, ts, ts[:, 0]), rows)):
+        f, calls = _counted_forms(get_function("sqrt"))
+        stack(f)
+        assert calls == {"f": 0, "d1": 0, "d2": d2, "f_array": 1, "d1_array": 1}
+
+
+def test_derivative_dividing_by_zero_is_a_numerical_failure():
+    # kernel:0' = 0 / (t t), and t t underflows to 0 below about 1e-162
+    f = get_function("kernel:0")
+    where = re.escape("kernel:0'(1e-200) divides by zero")
+    with pytest.raises(NumericalFailure, match=where):
+        loewner_matrix(f, NodeSet((1e-200, 3e-200), POSITIVE_AXIS))
+    with pytest.raises(NumericalFailure, match=where):
+        dd1(f, 1e-200, 1e-200)
+    with pytest.raises(NumericalFailure, match=re.escape("sqrt'(0.0) divides by zero")):
+        get_function("sqrt").deriv(0.0)
 
 
 def test_dd2_coincident_pair_limit():

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -10,10 +11,12 @@ from loewnerlab.errors import NumericalFailure, UsageError
 from loewnerlab.functions import (
     OPERATOR_MONOTONE,
     ScalarFunction,
+    _array_form,
     _density,
     _density_deriv,
     _kernel_table,
     _leggauss,
+    _node_values,
     _normalizer,
     catalog,
     catalog_names,
@@ -22,6 +25,8 @@ from loewnerlab.functions import (
     mollify_derivative,
 )
 from loewnerlab.hermitian import Interval
+from loewnerlab.measures import RadonMeasure01, default_lambda_grid, fit_measure, synthesize
+from loewnerlab.monotonicity import transform_involution
 
 # integral of exp(-1/(1-x^2)) over (-1, 1), computed once offline to 16 digits
 BUMP_MASS = 0.4439938161680793
@@ -204,3 +209,104 @@ def test_mollify_overflow_names_function_and_point():
     for fn in (mollify, mollify_derivative):
         with pytest.raises(NumericalFailure, match=re.escape("exp(710.4993050417357) overflows")):
             fn(f, 1.0, 709.5)
+
+
+# ---------------------------------------------------------------------------
+# Array forms behind _node_values
+
+
+@functools.lru_cache(maxsize=1)
+def _sqrt_measure():
+    """The 55-atom NNLS measure fitted to sqrt."""
+    samples = [(float(t), math.sqrt(t)) for t in np.geomspace(1e-3, 1e3, 100)]
+    mu = fit_measure(samples, default_lambda_grid(200))[0]
+    assert len(mu.atoms) == 55
+    return mu
+
+
+def _form_owners():
+    """Every kind of ScalarFunction that declares an array form."""
+    owners = [f for f in catalog() if any(f.array_forms)]
+    owners += [get_function("kernel:0.3"), synthesize(_sqrt_measure()),
+               # atoms at 0 and 1 only: every f'' term is -0.0, the sum 0.0
+               synthesize(RadonMeasure01(((0.0, 0.5), (1.0, 0.5))))]
+    owners += [f.negated() for f in owners[:4]]
+    owners += [transform_involution(get_function(n)) for n in ("sqrt", "kernel:0.25", "square")]
+    return owners
+
+
+# a dense log grid over the positive floats, subnormals included, with -0.0 and 1.0
+FORM_GRID = np.concatenate([np.geomspace(5e-324, 1.7e308, 5001), [-0.0, 1.0]])
+
+
+def test_catalog_declares_exactly_the_exact_forms():
+    declared = {f.name: tuple(a is not None for a in f.array_forms) for f in catalog()}
+    every, none = (True, True, True), (False, False, False)
+    assert declared == {
+        "id": every, "const1": every, "arithmetic": every, "square": every,
+        "sqrt": (True, True, False), "harmonic_rep": (True, False, False),
+        "cube": none, "exp": none, "power:0.25": none, "power:0.5": none,
+        "power:0.75": none, **{f"kernel:{lam:g}": every for lam in (0, 0.25, 0.5, 0.75, 1)},
+    }
+
+
+@pytest.mark.parametrize("f", _form_owners(), ids=lambda f: f.name)
+def test_array_forms_equal_their_scalar_forms_bitwise(f):
+    assert any(f.array_forms)
+    for g in (f, f.deriv, f.deriv2):
+        form = _array_form(g)
+        if form is None:
+            continue
+        xs, want = [], []
+        for x in FORM_GRID.tolist():
+            try:
+                want.append(g(x))
+            except (UsageError, NumericalFailure, ValueError):
+                continue  # the route falls back to g at x
+            xs.append(x)
+        with np.errstate(all="ignore"):
+            got = form(np.array(xs))
+        assert len(xs) > 3000 and got.dtype == np.float64
+        assert got.tobytes() == np.array(want).tobytes(), g
+
+
+def test_node_values_keep_shape_and_never_alias_the_input():
+    ts = np.linspace(0.5, 4.0, 12).reshape(3, 4)
+    for f in (get_function("id"), get_function("sqrt"), synthesize(_sqrt_measure())):
+        out = _node_values(f, ts)
+        assert out.shape == ts.shape and not np.shares_memory(out, ts)
+        assert out.tobytes() == np.array([f(x) for x in ts.ravel().tolist()]).reshape(3, 4).tobytes()
+
+
+def _outcome(call):
+    """A call's float64 bytes, or its exception's class and message."""
+    try:
+        return np.asarray(call(), dtype=np.float64).tobytes()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+HOSTILE_PROBES = [
+    ("mix", 0, -1.0), ("mix", 0, math.nan), ("mix", 0, 1e-300), ("mix", 1, -1.0),
+    ("mix", 2, math.nan), ("sqrt", 0, -1.0), ("sqrt", 1, 0.0), ("square", 0, 1e200),
+    ("kernel:0", 1, 1e-200), ("id", 0, -0.0), ("id", 0, 5e-324),
+    ("sqrt", 0, math.inf), ("sqrt", 0, -math.inf), ("sqrt", 0, math.nan),
+]
+
+
+@pytest.mark.parametrize("name,order,x", HOSTILE_PROBES)
+def test_hostile_probes_return_or_raise_alike_on_both_routes(name, order, x):
+    f = synthesize(_sqrt_measure()) if name == "mix" else get_function(name)
+    g = (f, f.deriv, f.deriv2)[order]
+    assert _array_form(g) is not None
+    ts = np.array([[2.0, x], [x, 3.0]])
+    got = _outcome(lambda: _node_values(g, ts))
+    want = _outcome(lambda: np.array([g(t) for t in ts.ravel().tolist()]).reshape(ts.shape))
+    assert got == want
+
+
+def test_mixture_at_one_is_total_mass_on_both_routes():
+    for m in (_sqrt_measure(), RadonMeasure01(((0.7, 0.3), (0.0, 0.1), (1.0, 0.6)))):
+        f = synthesize(m)
+        assert f(1.0) == m.total_mass()
+        assert _node_values(f, np.ones(3)).tolist() == [m.total_mass()] * 3

@@ -472,12 +472,15 @@ def test_batched_node_draws_replay_redraws_on_a_tight_interval(monkeypatch, chec
 def test_node_outside_the_interval_is_refused_like_the_per_trial_loop():
     # uniform() on an interval one ulp wide returns an endpoint
     iv = Interval(1.0, float(np.nextafter(1.0, 2.0)))
-    for n, iv_n, reason in ((1, iv, "outside open interval"), (0, IV, "nonempty")):
-        with pytest.raises(UsageError, match=reason) as want:
-            sample_nodes(np.random.default_rng((3, mono._TAG_MONOTONE, 0)), n, iv_n)
-        with pytest.raises(UsageError) as got:
-            check_monotone_order_n(get_function("sqrt"), n, iv_n, 5, 3)
-        assert str(got.value) == str(want.value)
+    with pytest.raises(UsageError, match="outside open interval") as want:
+        sample_nodes(np.random.default_rng((3, mono._TAG_MONOTONE, 0)), 1, iv)
+    with pytest.raises(UsageError) as got:
+        check_monotone_order_n(get_function("sqrt"), 1, iv, 5, 3)
+    assert str(got.value) == str(want.value)
+    # order 0 is refused by name before any node is drawn, like every n < 1
+    for checker in CHECKERS:
+        with pytest.raises(UsageError, match=r"^n must be >= 1, got 0$"):
+            checker(get_function("sqrt"), 0, IV, 5, 3)
 
 
 ORACLE_PREFIXES = [(0,), (1234, 11), (2**32, 12), (2**64 - 1, 13), (1234, 104, 3, 7)]
