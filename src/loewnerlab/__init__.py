@@ -57,7 +57,6 @@ from .hermitian import (
     Interval,
     POSITIVE_AXIS,
     eigendecompose,
-    identity,
     random_hermitian,
     random_ordered_pair,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "geometric_spec",
     "get_function",
     "harmonic_spec",
-    "identity",
     "is_concave_grid",
     "kernel01",
     "kernel_inf",

@@ -7,10 +7,10 @@ value observed by each named check and its bound.  run_criterion derives
 the outcome from the checks alone, passing when every worst value is within
 its bound, and records the context, the worst values and
 "bounds": {name: [sense, bound]}, sense one of "<=", ">=", "==".  Bounds
-are pinned here, not configurable, because they are the contract; only loop
-sizes (via RunConfig.trials) and the PSD tolerance (via RunConfig.tol, where
-a check exposes one) can be overridden.  `run_acceptance` runs the criteria
-in declaration order and wraps the records in a Report.
+and the PSD tolerance are pinned here, not configurable, because they are
+the contract: every PSD gate compares against PSD_TOL.  Only loop sizes (via
+RunConfig.trials) can be overridden.  `run_acceptance` runs the criteria in
+declaration order and wraps the records in a Report.
 """
 
 from __future__ import annotations
@@ -152,7 +152,6 @@ class _Checks:
 def crit_loewner_psd(cfg: RunConfig):
     names = ["sqrt", "power:0.25", "power:0.75", "kernel:0.25", "kernel:0.5", "kernel:0.75"]
     trials = cfg.loop(100)
-    tol = cfg.tol if cfg.tol is not None else PSD_TOL
     checks = _Checks()
     witness = None
     for fi, nm in enumerate(names):
@@ -161,7 +160,7 @@ def crit_loewner_psd(cfg: RunConfig):
         margins = lam[:, 0] / np.abs(lam).max(axis=1)
         # the first worst trial; a later member takes over only when strictly worse
         t = int(np.argmin(margins))
-        if checks.at_least("worst_min_eig_over_norm", float(margins[t]), -tol):
+        if checks.at_least("worst_min_eig_over_norm", float(margins[t]), -PSD_TOL):
             witness = {"function": nm, "nodes": ts[t].tolist()}
     return {"functions": names, "trials_each": trials, "node_count": 5,
             "interval": [IV_MAIN.lo, IV_MAIN.hi], "witness": witness}, checks
@@ -395,7 +394,6 @@ def crit_kubo_ando(cfg: RunConfig):
         ("geometric", geometric_spec(200)),
     ]
     trials = cfg.loop(100)
-    tol = cfg.tol if cfg.tol is not None else PSD_TOL
     checks = _Checks()
     for si, (name, spec) in enumerate(specs):
         groups = _draws_by_order(cfg, (108, si), trials, 1, _kubo_ando_draw)
@@ -406,7 +404,7 @@ def crit_kubo_ando(cfg: RunConfig):
             lo = _connection_stack(spec, a, b)
             hi = _connection_stack(spec, a2, b2)
             mono = float(min_eig_scaled(hi - lo).min())
-            checks.at_least("worst_monotonicity_min_eig", mono, -tol)
+            checks.at_least("worst_monotonicity_min_eig", mono, -PSD_TOL)
 
             lhs = hermitian_part(c @ lo @ c)
             rhs = _connection_stack(
@@ -421,10 +419,10 @@ def crit_kubo_ando(cfg: RunConfig):
                 eps = 1.0 / k
                 cur = _connection_stack(spec, a + eps * eye, b + eps * eye)
                 chain = float(min_eig_scaled(cur - lo).min())
-                checks.at_least("worst_downward_chain_min_eig", chain, -tol)
+                checks.at_least("worst_downward_chain_min_eig", chain, -PSD_TOL)
                 if prev is not None:
                     chain = float(min_eig_scaled(prev - cur).min())
-                    checks.at_least("worst_downward_chain_min_eig", chain, -tol)
+                    checks.at_least("worst_downward_chain_min_eig", chain, -PSD_TOL)
                 prev = cur
             delta = np.minimum(
                 np.linalg.eigvalsh(a)[:, 0], np.linalg.eigvalsh(b)[:, 0]
@@ -539,7 +537,7 @@ def crit_choquet(cfg: RunConfig):
         scale3 = max(1.0, float(np.abs(ys + slope * xs + off).max()))
         checks.at_most("envelope_worst_scaled_gap", aff_gap / scale3, 1e-12)
 
-    cara_n = 10 * cfg.trials if cfg.trials is not None else 1000
+    cara_n = 10 * cfg.loop(100)
     instances = []
     stream = _trial_streams((cfg.seed, 110, 2), cara_n)
     for t in range(cara_n):
@@ -594,7 +592,7 @@ def crit_p1_bounds(cfg: RunConfig):
 
 
 def crit_determinism(cfg: RunConfig):
-    sub = RunConfig(seed=cfg.seed, trials=1, tol=cfg.tol)
+    sub = RunConfig(seed=cfg.seed, trials=1)
     names = [c.name for c in CRITERIA if c.name != "determinism"]
     r1 = run_acceptance(sub, names).to_json()
     r2 = run_acceptance(sub, names).to_json()

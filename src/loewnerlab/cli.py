@@ -211,7 +211,7 @@ def cmd_report(args) -> int:
         names = [n.strip() for n in args.criteria.split(",") if n.strip()]
         if not names:
             raise UsageError(f"--criteria names no criterion: {args.criteria!r}")
-    cfg = RunConfig(seed=args.seed, trials=args.trials, tol=args.tol)
+    cfg = RunConfig(seed=args.seed, trials=args.trials)
     report = run_acceptance(cfg, names)
     _emit(report.to_json(), args.out)
     for rec in report.records:
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("report", help="run the acceptance criteria and emit a report")
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--trials", type=int, default=None)
-    c.add_argument("--tol", type=float, default=None)
     c.add_argument(
         "--criteria",
         help=f"comma-separated subset of: {', '.join(criterion_names())}",

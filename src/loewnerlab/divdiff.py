@@ -175,8 +175,7 @@ def _dd2_values(f: ScalarFunction, t1, t2, t3, f1, f2, f3, d_mid) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         lim = (d_mid - (f2 - fy) / (t2 - y)) / (t2 - y)
     triple = low & high
-    mean = _triple_mean(t1[triple], t2[triple], t3[triple]).tolist()
-    lim[triple] = [0.5 * f.deriv2(x) for x in mean]
+    lim[triple] = 0.5 * _node_values(f.deriv2, _triple_mean(t1[triple], t2[triple], t3[triple]))
     for i in np.nonzero(~(tie | triple))[0]:
         lim[i] = dd2(f, float(t1[i]), float(t2[i]), float(t3[i]))
     m[k] = lim

@@ -144,14 +144,6 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        self._check_same_dim(other)
-        return HermitianMatrix(self.entries + other.entries)
-
-    def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        self._check_same_dim(other)
-        return HermitianMatrix(self.entries - other.entries)
-
     def _check_same_dim(self, other):
         if not isinstance(other, HermitianMatrix):
             raise UsageError("expected a HermitianMatrix operand")
@@ -166,10 +158,6 @@ class HermitianMatrix:
     def norm(self) -> float:
         """Spectral norm."""
         return float(np.abs(np.linalg.eigvalsh(self.entries)).max())
-
-
-def identity(n: int) -> HermitianMatrix:
-    return HermitianMatrix(np.eye(n, dtype=np.complex128))
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,7 +28,6 @@ from loewnerlab.hermitian import (
     HermitianMatrix,
     Interval,
     hermitian_part,
-    identity,
     min_eig_scaled,
     random_hermitian,
     random_ordered_pair,
@@ -110,7 +109,6 @@ def _ref_kubo_ando(cfg):
         ("geometric", geometric_spec(200)),
     ]
     trials = cfg.loop(100)
-    tol = cfg.tol if cfg.tol is not None else PSD_TOL
     worst_mono = math.inf
     worst_transformer = 0.0
     worst_chain = math.inf
@@ -174,9 +172,9 @@ def _ref_kubo_ando(cfg):
             worst_rep = max(worst_rep, abs(v1 - v2) / max(1.0, abs(v1)))
 
     ok = (
-        worst_mono >= -tol
+        worst_mono >= -PSD_TOL
         and worst_transformer <= 1e-8
-        and worst_chain >= -tol
+        and worst_chain >= -PSD_TOL
         and worst_limit <= 1.0
         and worst_geo <= 1e-6
         and worst_rep <= 1e-12
@@ -192,9 +190,9 @@ def _ref_kubo_ando(cfg):
         "geometric_vs_closed_rel_err": worst_geo,
         "representing_vs_kernel_err": worst_rep,
         "bounds": {
-            "worst_monotonicity_min_eig": [">=", -tol],
+            "worst_monotonicity_min_eig": [">=", -PSD_TOL],
             "worst_transformer_rel_err": ["<=", 1e-8],
-            "worst_downward_chain_min_eig": [">=", -tol],
+            "worst_downward_chain_min_eig": [">=", -PSD_TOL],
             "worst_limit_gap_over_bound": ["<=", 1.0],
             "geometric_vs_closed_rel_err": ["<=", 1e-6],
             "representing_vs_kernel_err": ["<=", 1e-12],
@@ -221,7 +219,7 @@ def _ref_half_line(mu, x):
 
 
 def _plus_eps(a, eps):
-    return HermitianMatrix(a.entries + eps * identity(a.dim).entries)
+    return HermitianMatrix(a.entries + eps * np.eye(a.dim))
 
 
 @pytest.mark.parametrize("seed,trials", [(0, 3), (1, 3), (1234, 3), (1234, None)],
@@ -439,11 +437,12 @@ def test_checks_pass_only_when_every_check_does_and_flag_a_new_worst():
     assert not checks.passed()
 
 
-def test_failing_psd_criterion_keeps_its_worst_case_witness():
+def test_failing_psd_criterion_keeps_its_worst_case_witness(monkeypatch):
     crit = next(c for c in CRITERIA if c.name == "loewner_psd_certificate")
     assert "witness" not in run_criterion(crit, RunConfig(seed=GATE_SEED)).evidence
     # a tiny tolerance fails the certificate on its -5e-14 margin
-    record = run_criterion(crit, RunConfig(seed=GATE_SEED, tol=1e-20))
+    monkeypatch.setattr(acc, "PSD_TOL", 1e-20)
+    record = run_criterion(crit, RunConfig(seed=GATE_SEED))
     assert record.outcome == _rederived(record.to_obj()) == "fail"
     w = record.evidence["witness"]
     ns = NodeSet(tuple(w["nodes"]), acc.IV_MAIN)
@@ -452,14 +451,27 @@ def test_failing_psd_criterion_keeps_its_worst_case_witness():
     assert margin == record.evidence["worst_min_eig_over_norm"] < 0.0
 
 
+@pytest.mark.parametrize("name,keys", [
+    ("loewner_psd_certificate", ["worst_min_eig_over_norm"]),
+    ("difference_quotient_monotone", ["worst_min_eig_over_norm"]),
+    ("kubo_ando_axioms", ["worst_monotonicity_min_eig", "worst_downward_chain_min_eig"]),
+])
+def test_every_psd_gate_reads_the_pinned_tolerance_at_call_time(monkeypatch, name, keys):
+    # no run option replaces PSD_TOL: each gate's bound is the module value
+    crit = next(c for c in CRITERIA if c.name == name)
+    monkeypatch.setattr(acc, "PSD_TOL", 0.25)
+    bounds = run_criterion(crit, RunConfig(seed=GATE_SEED, trials=1)).evidence["bounds"]
+    assert {k: bounds[k] for k in keys} == {k: [">=", -0.25] for k in keys}
+
+
 # ---------------------------------------------------------------------------
 # loewner_psd_certificate and chain_rule_finite_differences on stacks
 
 
 def _ref_loewner_psd(cfg):
     """Criterion 1 trial by trial: sample_nodes, loewner_matrix and one
-    eigvalsh per trial; the worst margin and its first witness."""
-    tol = cfg.tol if cfg.tol is not None else 1e-9
+    eigvalsh per trial; the worst margin and its first witness, judged
+    against the criterion's tolerance as it stands at the call."""
     worst = witness = None
     for fi, nm in enumerate(["sqrt", "power:0.25", "power:0.75",
                              "kernel:0.25", "kernel:0.5", "kernel:0.75"]):
@@ -470,15 +482,17 @@ def _ref_loewner_psd(cfg):
             margin = float(lam[0]) / float(np.abs(lam).max())
             if worst is None or margin < worst:
                 worst, witness = margin, {"function": nm, "nodes": list(ns.nodes)}
-    return worst, witness, worst >= -tol
+    return worst, witness, worst >= -acc.PSD_TOL
 
 
 @pytest.mark.parametrize("seed,trials,tol", [
     (1234, None, None), (0, None, None), (77, None, None),
     (1234, 1, None), (0, 1, None), (77, 1, None), (1234, None, 1e-20),
 ], ids=["1234", "0", "77", "1234-1", "0-1", "77-1", "1234-tol"])
-def test_psd_certificate_equals_per_trial_reference(seed, trials, tol):
-    cfg = RunConfig(seed=seed, trials=trials, tol=tol)
+def test_psd_certificate_equals_per_trial_reference(monkeypatch, seed, trials, tol):
+    if tol is not None:
+        monkeypatch.setattr(acc, "PSD_TOL", tol)
+    cfg = RunConfig(seed=seed, trials=trials)
     ev, checks = acc.crit_loewner_psd(cfg)
     worst, witness, ok = _ref_loewner_psd(cfg)
     assert checks.worst["worst_min_eig_over_norm"] == worst

@@ -523,12 +523,26 @@ def test_report_empty_criteria_is_usage_error(capsys, criteria):
     assert out == "" and "names no criterion" in err
 
 
-@pytest.mark.parametrize("tol", ["inf", "2", "1", "nan"])
-def test_report_tol_outside_the_unit_interval_is_usage_error(capsys, tol):
-    code, out, err = run(capsys, "report", "--seed", "1", "--tol", tol,
-                         "--criteria", "loewner_psd_certificate")
-    assert code == 2
-    assert out == "" and "tol must be a real number in (0, 1)" in err
+def test_report_has_no_tolerance_option(capsys):
+    # the PSD tolerance is pinned in the criteria, not a run option
+    with pytest.raises(SystemExit) as exc_info:
+        main(["report", "--seed", "1", "--tol", "1e-6"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,trials", [
+    (["report", "--seed", "7", "--criteria", FAST_SUBSET], None),
+    (["report", "--seed", "7", "--trials", "2", "--criteria", FAST_SUBSET], 2),
+    (["check", "sqrt", "--seed", "7", "--trials", "5"], 5),
+], ids=["report", "report-trials", "check"])
+def test_config_echo_keeps_its_keys_in_order(capsys, argv, trials):
+    # the benchmark compares this echo whole, "tol": null included
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert list(config.items()) == [
+        ("seed", 7), ("trials", trials), ("tol", None), ("order_cap", 8)]
 
 
 def test_report_requires_seed():

@@ -95,6 +95,14 @@ def test_dd1_values():
     assert dd1(f, 2.0, t) == f.deriv(0.5 * (2.0 + t))
 
 
+def test_tiny_nodes_keep_exact_values_for_functions_nonzero_at_0():
+    # a coincidence rule must not leave f(s) - f(t) to cancel when f(0) != 0
+    assert dd1(get_function("arithmetic"), 1e-300, 2e-300) == 0.5
+    assert dd1(get_function("exp"), 1e-300, 2e-300) == 1.0
+    assert dd2(get_function("arithmetic"), 1e-9, 2e-9, 3e-9) == 0.0
+    assert math.isfinite(dd2(get_function("sqrt"), 1e-200, 2e-200, 3e-200))
+
+
 def test_dd2_square_is_constant_one():
     for nodes in [(1.0, 2.0, 3.0), (0.5, 0.5, 7.0), (4.0, 4.0, 4.0)]:
         np.testing.assert_allclose(dd2(SQUARE, *nodes), 1.0, rtol=1e-12)
@@ -130,6 +138,8 @@ GAP_ABOVE = 1.01 * TAU_NODE * 2.0
     [1.0, 1.0 + 0.4 * TAU_NODE, 1.0 + 0.8 * TAU_NODE, 3.0],  # near triple
     [3.0, 0.5, 3.0, 3.0],                        # triple ties
     [1.5],                                       # n = 1
+    [1e-9, 4e-9, 2.5e-9, 1e-8],                  # all within TAU_NODE of each other
+    [1e-200, 3e-200, 2e-200],                    # gap products underflow to 0
 ])
 @pytest.mark.parametrize("name", ["sqrt", "kernel:0.25", "exp", "cube"])
 def test_dd_tables_bitwise_equal_to_scalar(name, ts):

@@ -250,15 +250,14 @@ def _reference(checker, f, n, iv, trials, seed, wrap):
     if checker is check_monotone_direct:
         def build(rng):
             a, b = _ref_ordered_pair(n, iv, rng)
-            return (_ref_apply(f, b) - _ref_apply(f, a)).entries, (a, b)
+            return _ref_apply(f, b).entries - _ref_apply(f, a).entries, (a, b)
         return _ref_trials(trials, mono._TAG_DIRECT, seed, build, wrap)
 
     def build(rng):
         a, b = _ref_hermitian(n, iv, rng), _ref_hermitian(n, iv, rng)
         mid = HermitianMatrix((a.entries + b.entries) / 2.0)
-        half_sum = HermitianMatrix((_ref_apply(f, a) + _ref_apply(f, b)).entries * 0.5)
-        gap = _ref_apply(f, mid) - half_sum
-        return gap.entries, (a, b)
+        half_sum = (_ref_apply(f, a).entries + _ref_apply(f, b).entries) * 0.5
+        return _ref_apply(f, mid).entries - half_sum, (a, b)
     return _ref_trials(trials, mono._TAG_MIDPOINT, seed, build, wrap)
 
 
