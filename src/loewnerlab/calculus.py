@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import _dd_tables, _loewner_stack
-from .errors import UsageError
+from .errors import NumericalFailure, UsageError
 from .functions import ScalarFunction, _node_values
 from .hermitian import (
     HermitianMatrix,
@@ -68,17 +68,23 @@ def _apply_function_stack(f: ScalarFunction, entries: np.ndarray) -> np.ndarray:
 
     One checked eigh for the stack and one evaluation of f per eigenvalue.
     The result is exactly Hermitian but not checked for finiteness; callers
-    decide what a non-finite value means.
+    decide what a non-finite value means, so an infinite f value (inf * 0 in
+    the product) makes no warning.
     """
     lam, u = _eigh_checked(entries)
     _check_spectrum(f, lam)
     vals = _node_values(f, lam)
-    return hermitian_part((u * vals[..., None, :]) @ _adjoint(u))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return hermitian_part((u * vals[..., None, :]) @ _adjoint(u))
 
 
 def apply_function(f: ScalarFunction, a: HermitianMatrix) -> HermitianMatrix:
-    """f(A) by applying f to the eigenvalues."""
-    return HermitianMatrix(_apply_function_stack(f, a.entries))
+    """f(A) by applying f to the eigenvalues; a non-finite result is a
+    NumericalFailure."""
+    m = _apply_function_stack(f, a.entries)
+    if not np.isfinite(m).all():
+        raise NumericalFailure(f"{f.name}(A) has a non-finite entry")
+    return HermitianMatrix(m)
 
 
 def path_derivative(f: ScalarFunction, path: MatrixPath, t: float) -> HermitianMatrix:

@@ -11,18 +11,19 @@ Coincidence handling uses a relative node threshold: nodes s, t merge when
 symmetric second-difference form makes dd2 exactly permutation invariant,
 including in floating point.
 
-The matrices are formed by numpy broadcast from f and f' evaluated once per
-node (f'' only at triple coincidences).  Two kernels hold the only array
-forms: _dd1_values for dd1 over broadcast node pairs and _dd2_values for dd2
-over sorted node triples.  They use the scalar dd1/dd2 expressions in the
-same operation order, so every entry equals dd1/dd2 bitwise, and send only
-near-but-unequal nodes, which need f' at a new point, to the scalar forms.
-The builders do index work and call a kernel: _loewner_stack and
-_anchored_stack build one matrix per row of a (trials, n) node array (the
-order-n checks build all their trials at once; loewner_matrix and
-second_dd_matrix are the same builds on one row), and _dd_tables forms every
-dd2 over an ascending spectrum, once per sorted triple, for the chain rule
-in calculus.
+Two array kernels hold the only divided-difference body: _dd1_values for dd1
+over broadcast node pairs and _dd2_values for dd2 over sorted node triples.
+They take f (and, for dd2, f') at the nodes from their caller and evaluate
+the coincidence limits themselves, gathered and through _node_values: f' at
+the midpoint of a near pair, f at that midpoint where dd2 needs a new point,
+and f'' at the mean of a near triple.  The public dd1 and dd2 are one-entry
+calls of the kernels, and the difference-quotient transform declares array
+forms built on them.  The builders do index work and call a kernel:
+_loewner_stack and _anchored_stack build one matrix per row of a (trials, n)
+node array (the order-n checks build all their trials at once;
+loewner_matrix and second_dd_matrix are the same builds on one row), and
+_dd_tables forms every dd2 over an ascending spectrum, once per sorted
+triple, for the chain rule in calculus.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ from .hermitian import Interval
 TAU_NODE = 1e-7
 
 
-def _near(x: float, y: float) -> bool:
-    return abs(x - y) <= TAU_NODE * max(1.0, abs(x), abs(y))
-
-
-def _near_arrays(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """_near elementwise over broadcast arrays, with the same arithmetic."""
+def _near(x, y):
+    """Whether nodes x and y coincide; floats or broadcast arrays."""
     return np.abs(x - y) <= TAU_NODE * np.maximum(np.maximum(1.0, np.abs(x)), np.abs(y))
 
 
@@ -81,12 +78,14 @@ def _triple_mean(t1, t2, t3):
 def dd1(f: ScalarFunction, s: float, t: float) -> float:
     """First divided difference; f'((s+t)/2) when the nodes coincide.
 
-    A midpoint is taken as lo + (hi - lo)/2: bitwise (lo + hi)/2 wherever
-    that sum is finite and the gap exact, and finite where the sum overflows.
+    A one-entry call of _dd1_values: f at s and t, and f' only when the
+    nodes coincide, at the midpoint lo + (hi - lo)/2.  That midpoint is
+    bitwise (lo + hi)/2 wherever that sum is finite and the gap exact, and
+    finite where the sum overflows.
     """
-    if _near(s, t):
-        return f.deriv(min(s, t) + 0.5 * abs(t - s))
-    return (f(t) - f(s)) / (t - s)
+    ts = np.array([s, t], dtype=np.float64)
+    fs = _node_values(f, ts)
+    return float(_dd1_values(f, ts[:1], ts[1:], fs[:1], fs[1:])[0])
 
 
 def dd2(f: ScalarFunction, a: float, b: float, c: float) -> float:
@@ -97,22 +96,14 @@ def dd2(f: ScalarFunction, a: float, b: float, c: float) -> float:
     a distinct third node y degenerates to (f'(x) - dd1(f, y, x)) / (x - y),
     and a triple coincidence to f''/2 at the mean.  Nodes are sorted first,
     which makes the value bitwise invariant under node permutations.
+
+    A one-entry call of _dd2_values: f at the three nodes and f' at the
+    middle one, f and f' at the midpoint of a near-but-unequal pair, and f''
+    at the mean of a near triple.
     """
-    t1, t2, t3 = sorted((float(a), float(b), float(c)))
-    low, high = _near(t1, t2), _near(t2, t3)
-    if low and high:
-        return 0.5 * f.deriv2(float(_triple_mean(t1, t2, t3)))
-    if low or high:
-        if low:
-            x, y = t1 + 0.5 * (t2 - t1), t3
-        else:
-            x, y = t2 + 0.5 * (t3 - t2), t1
-        return (f.deriv(x) - dd1(f, y, x)) / (x - y)
-    return (
-        f(t1) / ((t1 - t2) * (t1 - t3))
-        + f(t2) / ((t2 - t1) * (t2 - t3))
-        + f(t3) / ((t3 - t1) * (t3 - t2))
-    )
+    t = np.array(sorted((float(a), float(b), float(c))))
+    fs, d = _node_values(f, t), _node_values(f.deriv, t[1:2])
+    return float(_dd2_values(f, *t[:, None], *fs[:, None], d)[0])
 
 
 @lru_cache(maxsize=16)
@@ -129,21 +120,19 @@ def _sorted_triples(n: int) -> tuple[np.ndarray, ...]:
     return p, q, r, pos
 
 
-def _dd1_values(f: ScalarFunction, ti, tj, fi, fj, di) -> np.ndarray:
-    """dd1(f, t_i, t_j) over broadcast nodes, from f(t_i), f(t_j) and f'(t_i).
+def _dd1_values(f: ScalarFunction, ti, tj, fi, fj) -> np.ndarray:
+    """dd1(f, t_i, t_j) over broadcast nodes, from f(t_i) and f(t_j).
 
-    The quotient of the cached values, f'(t_i) on an exact tie (where the
-    coincidence limit f'((t_i + t_j) / 2) is f'(t_i)), and the scalar dd1 on
-    near-but-unequal pairs, which need f' at a new point.
+    The quotient of the given values, and on near pairs, exact ties
+    included, f' at the midpoint lo + (hi - lo)/2, evaluated for those
+    pairs only.
     """
-    tie = ti == tj
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.where(tie, di, (fj - fi) / (tj - ti))
-    near = _near_arrays(ti, tj) & ~tie
+        m = np.asarray((fj - fi) / (tj - ti))  # an array even for 0-d nodes
+    near = _near(ti, tj)
     if near.any():
-        ti, tj = np.broadcast_arrays(ti, tj)
-        for k in map(tuple, np.argwhere(near)):
-            m[k] = dd1(f, float(ti[k]), float(tj[k]))
+        ti, tj = (v[near] for v in np.broadcast_arrays(ti, tj))
+        m[near] = _node_values(f.deriv, np.minimum(ti, tj) + 0.5 * np.abs(tj - ti))
     return m
 
 
@@ -152,12 +141,12 @@ def _dd2_values(f: ScalarFunction, t1, t2, t3, f1, f2, f3, d_mid) -> np.ndarray:
     three nodes and f' at the middle one.
 
     A distinct triple takes the partial-fraction form.  Only the triples
-    with a near pair are gathered for the rest: a pair tied exactly at the
-    middle node x with a third node y takes (f'(x) - dd1(f, y, x)) / (x - y),
-    a triple coincidence f''/2 at the mean, and the other near triples go to
-    the scalar dd2.
+    with a near pair are gathered for the rest: a triple coincidence takes
+    f''/2 at the mean, and one near pair with midpoint x and third node y
+    takes (f'(x) - dd1(f, x, y)) / (x - y).  f and f' are evaluated at x only
+    where x is not the middle node, as it is on an exact tie.
     """
-    low, high = _near_arrays(t1, t2), _near_arrays(t2, t3)
+    low, high = _near(t1, t2), _near(t2, t3)
     # a denominator that overflows makes its term 0, the underflowed value
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = (
@@ -165,20 +154,17 @@ def _dd2_values(f: ScalarFunction, t1, t2, t3, f1, f2, f3, d_mid) -> np.ndarray:
             + f2 / ((t2 - t1) * (t2 - t3))
             + f3 / ((t3 - t1) * (t3 - t2))
         )
-    k = np.nonzero(low | high)
-    t1, t2, t3, f1, f2, f3, d_mid, low, high = (
-        v[k] for v in (t1, t2, t3, f1, f2, f3, d_mid, low, high)
-    )
-    # the middle node's near partner z and the third node y
-    z, y, fy = np.where(high, t3, t1), np.where(high, t1, t3), np.where(high, f1, f3)
-    tie = (low != high) & (z == t2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lim = (d_mid - (f2 - fy) / (t2 - y)) / (t2 - y)
-    triple = low & high
-    lim[triple] = 0.5 * _node_values(f.deriv2, _triple_mean(t1[triple], t2[triple], t3[triple]))
-    for i in np.nonzero(~(tie | triple))[0]:
-        lim[i] = dd2(f, float(t1[i]), float(t2[i]), float(t3[i]))
-    m[k] = lim
+    k = np.nonzero(low & high)
+    m[k] = 0.5 * _node_values(f.deriv2, _triple_mean(t1[k], t2[k], t3[k]))
+    k = np.nonzero(low != high)
+    t1, t2, t3, f1, f2, f3, dx, high = (v[k] for v in (t1, t2, t3, f1, f2, f3, d_mid, high))
+    x = np.where(high, t2 + 0.5 * (t3 - t2), t1 + 0.5 * (t2 - t1))
+    y, fy, fx = np.where(high, t1, t3), np.where(high, f1, f3), f2
+    new = x != t2
+    if new.any():
+        dx[new], fx[new] = _node_values(f.deriv, x[new]), _node_values(f, x[new])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m[k] = (dx - _dd1_values(f, x, y, fx, fy)) / (x - y)
     return m
 
 
@@ -197,10 +183,8 @@ def _dd_tables(f: ScalarFunction, nodes) -> np.ndarray:
 
 def _loewner_stack(f: ScalarFunction, ts: np.ndarray) -> np.ndarray:
     """[dd1(f, t_i, t_j)] for every row t of the (..., n) node array ts."""
-    fs, ds = _node_values(f, ts), _node_values(f.deriv, ts)
-    return _dd1_values(
-        f, ts[..., :, None], ts[..., None, :], fs[..., :, None], fs[..., None, :], ds[..., :, None]
-    )
+    fs = _node_values(f, ts)
+    return _dd1_values(f, ts[..., :, None], ts[..., None, :], fs[..., :, None], fs[..., None, :])
 
 
 def _anchored_stack(f: ScalarFunction, ts: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -258,10 +242,21 @@ def difference_quotient_transform(f: ScalarFunction, t1: float) -> ScalarFunctio
     """The map t -> dd1(f, t, t1), with derivative t -> dd2(f, t, t, t1).
 
     Its value at t1 itself is f'(t1) via the coincidence limit, and its
-    Loewner matrix over nodes t_i equals [dd2(f, t_i, t_j, t1)].
+    Loewner matrix over nodes t_i equals [dd2(f, t_i, t_j, t1)].  Its array
+    forms are the kernels over many points: the value is _dd1_values against
+    t1, the slope _anchored_stack on one-node rows anchored at t1.
     """
     if not f.domain.contains_strictly(t1):
         raise UsageError(f"base point {t1} outside the domain of {f.name}")
+    t1 = float(t1)
+
+    def value(ts):
+        return _dd1_values(f, t1, ts, f(t1), _node_values(f, ts))
+
+    def slope(ts):
+        rows = ts.reshape(-1, 1)
+        return _anchored_stack(f, rows, np.full(len(rows), t1)).reshape(ts.shape)
+
     return ScalarFunction(
         name=f"diffquot:{f.name}@{t1:g}",
         domain=f.domain,
@@ -269,4 +264,5 @@ def difference_quotient_transform(f: ScalarFunction, t1: float) -> ScalarFunctio
         d1=lambda t: dd2(f, t, t, t1),
         d2=None,
         claimed_class=UNKNOWN,
+        array_forms=(value, slope, None),
     )

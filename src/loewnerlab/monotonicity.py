@@ -40,7 +40,6 @@ from .divdiff import (
     _anchored_stack,
     _loewner_stack,
     _near,
-    _near_arrays,
     difference_quotient_transform,
 )
 from .errors import NumericalFailure, UsageError
@@ -104,9 +103,10 @@ def sample_nodes(rng: np.random.Generator, n: int, iv: Interval) -> NodeSet:
     """n i.i.d. uniform nodes, redrawn until no pair is tau-coincident."""
     if not iv.bounded:
         raise UsageError("node sampling needs a bounded interval")
+    i, j = np.triu_indices(n, 1)
     for _ in range(100):
-        ts = rng.uniform(iv.lo, iv.hi, n).tolist()
-        if not any(_near(s, t) for i, s in enumerate(ts) for t in ts[i + 1:]):
+        ts = rng.uniform(iv.lo, iv.hi, n)
+        if not _near(ts[i], ts[j]).any():
             return NodeSet(tuple(ts), iv)
     raise UsageError(f"could not draw {n} separated nodes in {iv}")
 
@@ -136,7 +136,7 @@ def _draw_node_sets(seed, tag, n, iv, trials) -> np.ndarray:
         raise UsageError("node sampling needs a bounded interval")
     ts = np.array([stream(t).uniform(iv.lo, iv.hi, n) for t in range(trials)])
     i, j = np.triu_indices(n, 1)
-    near = _near_arrays(ts[:, i], ts[:, j]).any(axis=1)
+    near = _near(ts[:, i], ts[:, j]).any(axis=1)
     # an empty node set is refused like a node outside iv
     ok = near | (((iv.lo < ts) & (ts < iv.hi)).all(axis=1) & (n > 0))
     stop = trials if ok.all() else int(np.argmin(ok))
@@ -224,7 +224,7 @@ def check_midpoint_concavity(
         draws.append(_draw_hermitian(n, iv, rng) + _draw_hermitian(n, iv, rng))
     lam_a, z_a, lam_b, z_b = (np.array(x) for x in zip(*draws))
     a, b = _build_hermitian(lam_a, z_a), _build_hermitian(lam_b, z_b)
-    mid = (a + b) / 2.0
+    mid = a * 0.5 + b * 0.5  # halves: a + b may overflow
     _require_hermitian(mid)
     fm, fa, fb = (_apply_function_stack(f, m) for m in (mid, a, b))
     return _decide("midpoint_concavity", f, n, fm - (fa + fb) * 0.5, _pair(a, b))
@@ -331,19 +331,18 @@ def extreme_decomposition(f: ScalarFunction) -> ExtremeDecomposition:
         )
 
     quot = difference_quotient_transform(f, 1.0)
-    invol = transform_involution(f)
-    quot_inv = difference_quotient_transform(invol, 1.0)
+    quot_inv = difference_quotient_transform(transform_involution(f), 1.0)
 
-    f1 = ScalarFunction(
-        name=f"extreme1({f.name})",
-        domain=f.domain,
-        fn=lambda t: (t / w) * quot(t),
-        claimed_class=OPERATOR_MONOTONE if f.claimed_class == OPERATOR_MONOTONE else UNKNOWN,
-    )
-    f2 = ScalarFunction(
-        name=f"extreme2({f.name})",
-        domain=f.domain,
-        fn=lambda t: quot_inv(1.0 / t) / (1.0 - w),
-        claimed_class=OPERATOR_MONOTONE if f.claimed_class == OPERATOR_MONOTONE else UNKNOWN,
-    )
+    # the pieces compose the transforms' scalar callables or array forms alike
+    def piece(name, q, g):
+        return ScalarFunction(
+            name=f"{name}({f.name})",
+            domain=f.domain,
+            fn=g(q),
+            claimed_class=OPERATOR_MONOTONE if f.claimed_class == OPERATOR_MONOTONE else UNKNOWN,
+            array_forms=(g(q.array_forms[0]), None, None),
+        )
+
+    f1 = piece("extreme1", quot, lambda q: lambda t: (t / w) * q(t))
+    f2 = piece("extreme2", quot_inv, lambda q: lambda t: q(1.0 / t) / (1.0 - w))
     return ExtremeDecomposition(f1=f1, f2=f2, weight=float(w), degenerate=False)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+import reference_divdiff as ref
+
 from loewnerlab.calculus import (
     affine_path,
     apply_function,
     path_derivative,
     path_second_derivative,
 )
-from loewnerlab.divdiff import dd2
-from loewnerlab.errors import UsageError
+from loewnerlab.errors import NumericalFailure, UsageError
 from loewnerlab.functions import ScalarFunction, get_function
 from loewnerlab.hermitian import (
     HermitianMatrix,
@@ -39,6 +40,14 @@ def test_apply_function_checks_spectrum():
     a = _herm(np.diag([1.0, -2.0]))
     with pytest.raises(UsageError):
         apply_function(get_function("sqrt"), a)
+
+
+def test_apply_function_with_an_infinite_value_is_a_quiet_numerical_failure():
+    # square(1e200) = inf, and inf * 0 in U f(L) U* is nan; RuntimeWarnings
+    # are errors under this suite's pytest settings
+    a = _herm(1e200 * np.eye(2))
+    with pytest.raises(NumericalFailure, match=r"square\(A\) has a non-finite entry"):
+        apply_function(get_function("square"), a)
 
 
 def test_apply_function_diagonal_case():
@@ -160,14 +169,14 @@ def test_chain_rule_evaluates_f_once_per_eigenvalue(n):
 
 
 def _scalar_loop_second_derivative(f, path, t):
-    """The chain rule with one scalar dd2 call per entry."""
+    """The chain rule with one reference scalar dd2 call per entry."""
     g = path.value(t)
     lam, u = np.linalg.eigh(g.entries)
     n = len(lam)
     c = hermitian_part(u.conj().T @ path.h.entries @ u)
     s = np.zeros((n, n), dtype=np.complex128)
     for k in range(n):
-        d2k = np.array([[dd2(f, lam[i], lam[j], lam[k]) for j in range(n)]
+        d2k = np.array([[ref.dd2(f, lam[i], lam[j], lam[k]) for j in range(n)]
                         for i in range(n)])
         s += 2.0 * d2k * np.outer(c[:, k], c[:, k].conj())
     return hermitian_part(u @ s @ u.conj().T)

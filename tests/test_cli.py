@@ -122,6 +122,21 @@ def test_check_near_the_float_maximum_is_quiet(capsys, prop):
         assert json.loads(out)["records"][0]["evidence"]["min_eig_over_norm"] > 0.0
 
 
+@pytest.mark.parametrize("name, code", [("sqrt", 0), ("square", 3)])
+@pytest.mark.parametrize("prop", ["monotone-direct", "concave-midpoint"])
+def test_matrix_checks_near_the_float_maximum_end_quietly(capsys, name, code, prop):
+    # (A + B)/2 would overflow there, and square(A) is inf; either way the
+    # run ends in its verdict or a NumericalFailure, with no RuntimeWarning
+    got, out, err = run(capsys, "check", name, "--property", prop, "--order", "3",
+                        "--interval", "1e300,1.7e308", "--trials", "12", "--seed", "1")
+    assert got == code
+    if code == 0:
+        assert err == "" and json.loads(out)["records"][0]["outcome"] == "pass"
+    else:
+        assert out == ""
+        assert err.startswith("numerical failure:") and "non-finite matrix entry" in err
+
+
 def test_check_zero_trials_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "sqrt", "--trials", "0", "--seed", "1")
     assert code == 2

@@ -1,12 +1,16 @@
-"""Divided differences against hand-computed polynomial and sqrt values."""
+"""Divided differences against hand-computed values, the scalar reference
+forms and mpmath."""
 
 import dataclasses
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import reference_divdiff as ref
 
 from loewnerlab.divdiff import (
     TAU_NODE,
@@ -21,7 +25,7 @@ from loewnerlab.divdiff import (
     second_dd_matrix,
 )
 from loewnerlab.errors import NumericalFailure, UsageError
-from loewnerlab.functions import ScalarFunction, get_function
+from loewnerlab.functions import ScalarFunction, _node_values, catalog_names, get_function
 from loewnerlab.hermitian import POSITIVE_AXIS, Interval
 
 WIDE = Interval(-100.0, 100.0)
@@ -33,18 +37,22 @@ SQUARE = ScalarFunction("local_square", WIDE, lambda t: t * t,
 nodes_st = st.floats(min_value=0.1, max_value=50.0)
 
 
-def _scalar_tables(f, ts):
+def _scalar_tables(f, ts, dd1=ref.dd1, dd2=ref.dd2):
     d1 = np.array([[dd1(f, s, t) for t in ts] for s in ts])
     d2 = np.array([[[dd2(f, a, b, c) for c in ts] for b in ts] for a in ts])
     return d1, d2
 
 
 def assert_tables_match_scalar(f, ts):
-    """_dd_tables over the sorted nodes (a spectrum), and the stacks over the
-    nodes as given, equal loops over the scalar dd1/dd2, bitwise."""
+    """_dd_tables over the sorted nodes (a spectrum), and the stacks and the
+    public dd1/dd2 over the nodes as given, equal loops over the reference
+    scalar dd1/dd2, bitwise."""
     d2 = _scalar_tables(f, sorted(ts))[1]
     assert _dd_tables(f, sorted(ts)).tobytes() == d2.tobytes()
-    assert_stacks_match_scalar(f, ts, *_scalar_tables(f, ts))
+    tables = _scalar_tables(f, ts)
+    for got, want in zip(_scalar_tables(f, ts, dd1, dd2), tables):
+        assert got.tobytes() == want.tobytes()
+    assert_stacks_match_scalar(f, ts, *tables)
 
 
 def assert_stacks_match_scalar(f, ts, d1, d2):
@@ -55,7 +63,7 @@ def assert_stacks_match_scalar(f, ts, d1, d2):
         m = _anchored_stack(f, t[None], np.array([anchor]))[0]
         assert m.tobytes() == d2[:, :, k].copy().tobytes()
     off = 0.5 * (min(ts) + max(ts)) + 0.123
-    d2_off = np.array([[dd2(f, a, b, off) for b in ts] for a in ts])
+    d2_off = np.array([[ref.dd2(f, a, b, off) for b in ts] for a in ts])
     assert _anchored_stack(f, t[None], np.array([off]))[0].tobytes() == d2_off.tobytes()
     # several rows at once: one matrix per row, each as if built alone
     rows, anchors = np.stack([t, t[::-1]]), np.array([ts[0], off])
@@ -144,6 +152,36 @@ GAP_ABOVE = 1.01 * TAU_NODE * 2.0
 @pytest.mark.parametrize("name", ["sqrt", "kernel:0.25", "exp", "cube"])
 def test_dd_tables_bitwise_equal_to_scalar(name, ts):
     assert_tables_match_scalar(get_function(name), ts)
+
+
+def _raised(call):
+    """The type of the exception call() raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 5e-8, 1e-7, 2e-7, 1e-5])
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3, 1e100, 1e300])
+def test_kernels_equal_reference_on_near_coincident_nodes(scale, gap):
+    # gaps relative to the coincidence scale max(1, |t|), on both sides of
+    # TAU_NODE: exact ties, near pairs and triples, and a distinct node
+    u = max(1.0, scale)
+    ts = [scale, scale + gap * u, scale + 2.5 * gap * u, scale + gap * u, scale + 0.5 * u]
+    for name in ("sqrt", "kernel:0.25", "kernel:0", "harmonic_rep", "exp", "cube"):
+        f = get_function(name)
+        raised = _raised(lambda: _scalar_tables(f, ts))
+        if raised is None:
+            assert_tables_match_scalar(f, ts)
+        else:
+            # exp, cube and harmonic_rep' overflow at large scales: every
+            # route fails alike
+            for call in (lambda: _scalar_tables(f, ts, dd1, dd2),
+                         lambda: _loewner_stack(f, np.array(ts)),
+                         lambda: _dd_tables(f, sorted(ts))):
+                assert _raised(call) is raised
 
 
 def test_dd_tables_finite_difference_derivatives_and_negative_nodes():
@@ -279,6 +317,25 @@ def test_difference_quotient_transform():
         difference_quotient_transform(f, -3.0)
 
 
+@pytest.mark.parametrize("name", ["sqrt", "kernel:0.25", "power:0.5", "exp"])
+def test_difference_quotient_forms_equal_reference_bitwise(name):
+    # at, next to and away from the base point; power:0.5 and exp have no
+    # array forms of their own, so the kernels call them point by point
+    f, t1 = get_function(name), 1.0
+    ts = np.array([0.3, 1.0, 1.0 + 1e-9, 1.0 - 4e-8, 1.0 + 3e-7, 2.0, 7.5])
+    g, g_ref = difference_quotient_transform(f, t1), ref.difference_quotient_transform(f, t1)
+    value, slope, _ = g.array_forms
+    values = np.array([g_ref(t) for t in ts.tolist()])
+    slopes = np.array([g_ref.deriv(t) for t in ts.tolist()])
+    assert value(ts).tobytes() == values.tobytes()
+    assert slope(ts).tobytes() == slopes.tobytes()
+    assert np.array([g(t) for t in ts.tolist()]).tobytes() == values.tobytes()
+    assert np.array([g.deriv(t) for t in ts.tolist()]).tobytes() == slopes.tobytes()
+    # _node_values hands 0-d arrays through as they are
+    assert _node_values(g, np.array(ts[2])) == values[2]
+    assert _node_values(g.deriv, np.array(ts[2])) == slopes[2]
+
+
 def test_diffquot_loewner_matrix_equals_anchored_second_differences():
     """The Loewner matrix of t -> dd1(f, t, t1) is the dd2 matrix anchored at t1."""
     f = get_function("kernel:0.5")
@@ -306,6 +363,98 @@ def test_coincidence_limits_are_exact_near_the_float_maximum():
     assert dd1(f, hi, ts[1]) == f.deriv(ts[1] + 0.5 * (hi - ts[1])) > 0.0
     # a triple coincidence takes f''/2 at the node
     assert dd2(XLOGX, ts[1], ts[1], ts[1]) == 0.5 * XLOGX.deriv2(ts[1]) > 0.0
-    # tables and stacks stay bitwise equal to the scalar forms there; an
-    # overflowing partial-fraction product gives its term the value 0
+    # tables and stacks stay bitwise equal to the reference scalar forms
+    # there; an overflowing partial-fraction product gives its term the value 0
     assert_tables_match_scalar(f, [1e300, 1e308, 1.2e308, 1.5e308, hi, 1.5e308])
+
+
+# ---------------------------------------------------------------------------
+# The public dd1/dd2 against exact values in 50-digit mpmath
+
+
+def _mp_kernel(lam):
+    lam = mp.mpf(lam)
+    return lambda t: t / (lam + (1 - lam) * t)
+
+
+MP_FORMS = {
+    "sqrt": mp.sqrt,
+    **{f"power:{p:g}": (lambda p: lambda t: t ** mp.mpf(p))(p) for p in (0.25, 0.5, 0.75)},
+    **{f"kernel:{lam:g}": _mp_kernel(lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)},
+    "exp": mp.exp,
+    "square": lambda t: t * t,
+    "cube": lambda t: t**3,
+    "arithmetic": lambda t: (1 + t) / 2,
+    "harmonic_rep": lambda t: 2 * t / (1 + t),
+    "id": lambda t: t,
+    "const1": lambda t: mp.mpf(1),
+}
+
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+def _mp_dd1(g, s, t):
+    """dd1 of g and the sum of the magnitudes its formula adds, which
+    scales its rounding error."""
+    if s == t:
+        v = mp.diff(g, s)
+        return v, abs(v)
+    return (g(t) - g(s)) / (t - s), (abs(g(t)) + abs(g(s))) / abs(t - s)
+
+
+def _mp_dd2(g, a, b, c):
+    """dd2 of g and the sum of the magnitudes its formula adds."""
+    t1, t2, t3 = sorted((a, b, c))
+    if t1 == t3:
+        v = mp.diff(g, t1, 2) / 2
+        return v, abs(v)
+    if t1 == t2 or t2 == t3:
+        x, y = (t1, t3) if t1 == t2 else (t3, t1)
+        d, q = mp.diff(g, x), _mp_dd1(g, y, x)
+        return (d - q[0]) / (x - y), (abs(d) + q[1]) / abs(x - y)
+    terms = [g(t1) / ((t1 - t2) * (t1 - t3)), g(t2) / ((t2 - t1) * (t2 - t3)),
+             g(t3) / ((t3 - t1) * (t3 - t2))]
+    return sum(terms), sum(map(abs, terms))
+
+
+def _separated_triples(count, gap=0.05):
+    rng = np.random.default_rng(2005)
+    triples = []
+    while len(triples) < count:
+        t = rng.uniform(0.1, 10.0, 3)
+        if np.diff(np.sort(t)).min() >= gap:
+            triples.append(tuple(t.tolist()))
+    return triples
+
+
+def test_mpmath_forms_cover_the_catalog():
+    assert sorted(MP_FORMS) == sorted(catalog_names())
+
+
+@pytest.mark.parametrize("name", sorted(MP_FORMS))
+def test_public_dd1_dd2_against_mpmath(name):
+    # 1e-12 relative, or a few roundings of the magnitudes the formula adds
+    # where its terms cancel (gaps of 0.05 under values up to e^10)
+    f, g = get_function(name), MP_FORMS[name]
+    worst = 0.0
+    with mp.workdps(50):
+        for a, b, c in _separated_triples(60):
+            ma, mb, mc = map(mp.mpf, (a, b, c))
+            for got, (exact, scale) in (
+                (dd1(f, a, b), _mp_dd1(g, ma, mb)),
+                (dd1(f, a, a), _mp_dd1(g, ma, ma)),
+                (dd2(f, a, b, c), _mp_dd2(g, ma, mb, mc)),
+                (dd2(f, a, a, b), _mp_dd2(g, ma, ma, mb)),
+                (dd2(f, a, a, a), _mp_dd2(g, ma, ma, ma)),
+            ):
+                bound = max(1e-12 * max(1, abs(exact)), 16 * EPS * scale)
+                worst = max(worst, float(abs(got - exact) / bound))
+    assert worst <= 1.0
+
+
+def test_distinct_nodes_never_evaluate_the_derivative():
+    # kernel:0' = 0 / (t t) divides by zero at 1e-200, where no limit is taken
+    f = get_function("kernel:0")
+    assert dd1(f, 1e-200, 1.0) == 0.0
+    assert dd2(f, 1e-200, 0.5, 1.0) == 0.0

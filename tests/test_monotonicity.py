@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 import loewnerlab.hermitian as herm
+import reference_divdiff as ref
 from loewnerlab import monotonicity as mono
 from loewnerlab.divdiff import (
     TAU_NODE,
     _anchored_stack,
     _loewner_stack,
-    dd1,
-    dd2,
     difference_quotient_transform,
     loewner_matrix,
 )
@@ -137,6 +136,21 @@ def test_extreme_decomposition_reconstructs_kernel():
     np.testing.assert_allclose(dec.f2(1.0), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["sqrt", "kernel:0.25", "power:0.75", "harmonic_rep"])
+def test_extreme_pieces_equal_reference_quotients_bitwise(name):
+    # the pieces' array forms against the reference dd1 point by point,
+    # including at and next to the base point 1
+    f = get_function(name)
+    dec = extreme_decomposition(f)
+    w, invol = dec.weight, transform_involution(f)
+    ts = np.concatenate([np.geomspace(0.01, 100.0, 40), [1.0, 1.0 + 1e-9, 1.0 - 3e-8]])
+    f1 = [(t / w) * ref.dd1(f, t, 1.0) for t in ts.tolist()]
+    f2 = [ref.dd1(invol, 1.0 / t, 1.0) / (1.0 - w) for t in ts.tolist()]
+    assert dec.f1.array_forms[0](ts).tobytes() == np.array(f1).tobytes()
+    assert dec.f2.array_forms[0](ts).tobytes() == np.array(f2).tobytes()
+    assert [dec.f1(t) for t in ts.tolist()] == f1
+
+
 def test_extreme_decomposition_degenerate_cases():
     assert extreme_decomposition(get_function("id")).degenerate
     assert extreme_decomposition(get_function("const1")).degenerate
@@ -156,8 +170,9 @@ def test_extreme_decomposition_rejects_bad_weight():
 # The batched checkers against per-trial reference loops
 #
 # The reference builds every trial on its own, as the checkers did before they
-# were batched: scalar dd1/dd2 loops, one QR and one eigh per matrix, one
-# eigvalsh per trial.  The batched checkers must agree bit for bit.
+# were batched: loops over the reference scalar dd1/dd2 (reference_divdiff.py),
+# one QR and one eigh per matrix, one eigvalsh per trial.  The batched checkers
+# must agree bit for bit.
 
 
 def _ref_min_eig_scaled(m):
@@ -169,9 +184,9 @@ def _ref_loewner(f, ts):
     n = len(ts)
     m = np.empty((n, n))
     for i in range(n):
-        m[i, i] = dd1(f, ts[i], ts[i])
+        m[i, i] = ref.dd1(f, ts[i], ts[i])
         for j in range(i + 1, n):
-            m[i, j] = m[j, i] = dd1(f, ts[i], ts[j])
+            m[i, j] = m[j, i] = ref.dd1(f, ts[i], ts[j])
     return m
 
 
@@ -180,7 +195,7 @@ def _ref_anchored(f, ts, anchor):
     m = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
-            m[i, j] = m[j, i] = dd2(f, ts[i], ts[j], anchor)
+            m[i, j] = m[j, i] = ref.dd2(f, ts[i], ts[j], anchor)
     return m
 
 
@@ -269,9 +284,10 @@ def _witness_bytes(w):
     return np.array(w.nodes).tobytes()
 
 
-def assert_matches_reference(checker, f, n, iv, trials, seed, wrap=lambda rng: rng):
+def assert_matches_reference(checker, f, n, iv, trials, seed, wrap=lambda rng: rng, ref_f=None):
+    """checker on f equals the per-trial reference on ref_f (default f)."""
     v = checker(f, n, iv, trials, seed)
-    min_seen, witness = _reference(checker, f, n, iv, trials, seed, wrap)
+    min_seen, witness = _reference(checker, ref_f or f, n, iv, trials, seed, wrap)
     what = f"{checker.__name__}({f.name}, n={n}, seed={seed})"
     assert np.float64(v.min_eig_seen).tobytes() == np.float64(min_seen).tobytes(), what
     assert v.outcome == ("pass" if witness is None else "fail"), what
@@ -299,9 +315,10 @@ def test_batched_checkers_equal_per_trial_loops(checker):
 @pytest.mark.parametrize("checker", CHECKERS[:2], ids=lambda c: c.__name__)
 def test_batched_order_n_with_difference_quotient_transform(checker):
     g = difference_quotient_transform(get_function("sqrt"), 2.5).negated()
+    g_ref = ref.difference_quotient_transform(get_function("sqrt"), 2.5).negated()
     for seed in (0, 1, 2):
         for n in (2, 4, 8):
-            assert_matches_reference(checker, g, n, IV, 10, seed)
+            assert_matches_reference(checker, g, n, IV, 10, seed, ref_f=g_ref)
 
 
 def _near_coincident_rows(rows, n, rng):
@@ -315,16 +332,17 @@ def _near_coincident_rows(rows, n, rng):
 def test_stacks_equal_scalar_reference_on_near_coincident_rows():
     f = get_function("sqrt")
     g = difference_quotient_transform(f, 2.5).negated()
+    g_ref = ref.difference_quotient_transform(f, 2.5).negated()
     for seed in (0, 1, 2, 5):
         for n in (2, 4, 8):
             ts = _near_coincident_rows(10, n, np.random.default_rng((seed, n)))
             assert np.all(np.diff(ts, axis=1) > TAU_NODE * IV.hi)
-            for h in (f, g):
+            for h, h_ref in ((f, f), (g, g_ref)):
                 loew = _loewner_stack(h, ts)
                 anch = _anchored_stack(h, ts, ts[:, 0])
                 for k, row in enumerate(ts.tolist()):
-                    assert loew[k].tobytes() == _ref_loewner(h, row).tobytes()
-                    assert anch[k].tobytes() == _ref_anchored(h, row, row[0]).tobytes()
+                    assert loew[k].tobytes() == _ref_loewner(h_ref, row).tobytes()
+                    assert anch[k].tobytes() == _ref_anchored(h_ref, row, row[0]).tobytes()
             # sqrt is operator monotone: its Loewner matrices stay PSD there
             assert herm.min_eig_scaled(_loewner_stack(f, ts)).min() >= -PSD_TOL
 
