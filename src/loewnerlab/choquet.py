@@ -15,6 +15,15 @@ Two finite-dimensional shadows of barycenter machinery:
 The kernel side of the barycenter picture, a normalized function fitted as
 a mixture of extreme kernels with its mass pinned to one, is
 measures.fit_measure with mass_constraint=1.0.
+
+Both NNLS problems of the package, the feasible start weights here and
+fit_measure's mixture, go through _nnls, the one call into scipy's nnls
+(imported on first use).  It solves for b * 2^-e, e the binary exponent of
+max|b|, and scales the weights back by 2^e: scipy's nnls is bitwise
+equivariant under powers of two, so ordinary solves keep every bit, and
+right-hand sides near the float maximum no longer crash it.  Every residual
+that this module or measures measures is taken with _norm, which equals
+np.linalg.norm wherever that is finite.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ class GridFunction:
             raise UsageError("need at least two grid points")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise UsageError("grid function must be finite")
-        if not np.all(np.diff(xs) > 0.0):
+        if not np.all(xs[1:] > xs[:-1]):  # np.diff can overflow
             raise UsageError("grid must be strictly increasing")
         xs.flags.writeable = False
         ys.flags.writeable = False
@@ -115,27 +124,22 @@ class BarycenterResult:
 
 def _feasible_weights(vertices: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Any w >= 0 with sum w = 1 and V^T w = point, or raise with a certificate."""
-    from scipy.optimize import nnls
-
     m, d = vertices.shape
     scale = max(1.0, float(np.abs(vertices).max()), float(np.abs(point).max()))
     a = np.vstack([vertices.T / scale, np.ones((1, m))])
     b = np.concatenate([point / scale, [1.0]])
-    try:
-        w, _ = nnls(a, b, maxiter=50 * max(a.shape))
-    except RuntimeError as exc:
-        raise NumericalFailure(f"feasibility solve failed to converge: {exc}") from exc
+    w = _nnls(a, b, "feasibility solve failed to converge")
     resid = a @ w - b
-    if np.linalg.norm(resid) > FEAS_TOL * math.sqrt(d + 1):
+    if _norm(resid) > FEAS_TOL * math.sqrt(d + 1):
         # build a separating certificate from the residual's point part
         direction = -resid[:d]
-        nrm = np.linalg.norm(direction)
+        nrm = _norm(direction)
         if nrm > 0.0:
             direction = direction / nrm
         margin = float(direction @ (point / scale) - (vertices / scale @ direction).max())
         raise InfeasiblePointError(
             "point is not a convex combination of the vertices "
-            f"(residual {np.linalg.norm(resid):.3e})",
+            f"(residual {_norm(resid):.3e})",
             direction=direction,
             margin=margin * scale,
         )
@@ -150,6 +154,30 @@ def _norm(v: np.ndarray) -> float:
         return nrm
     big = float(np.abs(v).max())
     return big * float(np.linalg.norm(v / big))
+
+
+def _nnls(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """argmin ||a w - b|| over w >= 0: the package's one call into scipy's nnls.
+
+    The solve runs on b * 2^-e, e the binary exponent of max|b|, and w is
+    scaled back by 2^e.  scipy's nnls is bitwise equivariant under powers of
+    two, so this moves no bit of a solution it reaches unscaled, and it
+    keeps right-hand sides near the float maximum from crashing the solver.
+    Non-convergence is a NumericalFailure whose message begins with what; a
+    solution that overflows when scaled back is a NumericalFailure too.
+    """
+    from scipy.optimize import nnls
+
+    e = math.frexp(float(np.abs(b).max()))[1]
+    try:
+        w, _ = nnls(a, np.ldexp(b, -e), maxiter=50 * max(a.shape))
+    except RuntimeError as exc:
+        raise NumericalFailure(f"{what}: {exc}") from exc
+    with np.errstate(over="ignore"):
+        w = np.ldexp(w, e)
+    if not np.all(np.isfinite(w)):
+        raise NumericalFailure(f"NNLS weights overflow when scaled back by 2^{e}")
+    return w
 
 
 def _reduce_support(vertices: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -181,25 +209,15 @@ def _reduce_support(vertices: np.ndarray, w: np.ndarray) -> np.ndarray:
         _, _, vt = np.linalg.svd(lifted)
         z = vt[:, -1, :]
         ws = w[sel]
-        # ratio test along +z and -z: the first smallest ratio in support
-        # order; on a tie between signs, the smaller hit index wins
-        best_t = np.full(rows.size, np.inf)
-        best_j = np.full(rows.size, -1)
-        best_sign = np.zeros(rows.size)
-        for sign in (1.0, -1.0):
-            zz = sign * z
-            pos = zz > 1e-14
-            ratios = np.where(pos, ws / np.where(pos, zz, 1.0), np.inf)
-            j = np.argmin(ratios, axis=1)
-            t = ratios[np.arange(rows.size), j]
-            better = pos.any(axis=1) & ((t < best_t) | ((t == best_t) & (j < best_j)))
-            best_t = np.where(better, t, best_t)
-            best_j = np.where(better, j, best_j)
-            best_sign = np.where(better, sign, best_sign)
-        if np.any(best_j < 0):
+        # ratio test along +z or -z at once: the first smallest w/|z| in
+        # support order, stepping along the sign of z there
+        big = np.abs(z) > 1e-14
+        if not big.any(axis=1).all():
             raise NumericalFailure("null direction has no positive component")
-        w[sel] = ws - best_t[:, None] * (best_sign[:, None] * z)
-        w[rows, support[np.arange(rows.size), best_j]] = 0.0
+        ratios = np.where(big, ws / np.where(big, np.abs(z), 1.0), np.inf)
+        hit = (np.arange(rows.size), np.argmin(ratios, axis=1))
+        w[sel] = ws - ratios[hit][:, None] * (np.sign(z[hit])[:, None] * z)
+        w[rows, support[hit]] = 0.0
         w[rows] = np.maximum(w[rows], 0.0)
 
 

@@ -38,7 +38,13 @@ from .fileio import (
 )
 from .functions import _node_values, get_function
 from .hermitian import Interval
-from .measures import RadonMeasure01, default_lambda_grid, fit_measure, synthesize
+from .measures import (
+    RadonMeasure01,
+    _require_design_size,
+    default_lambda_grid,
+    fit_measure,
+    synthesize,
+)
 from .monotonicity import (
     check_convex_order_n,
     check_midpoint_concavity,
@@ -119,6 +125,7 @@ def cmd_check(args) -> int:
 
 def cmd_fit(args) -> int:
     samples = load_samples_csv(args.samples)
+    _require_design_size(len(samples), args.grid_size)
     grid = default_lambda_grid(args.grid_size)
     mu, residual = fit_measure(samples, grid, mass_constraint=args.mass)
     if args.format == "csv":
@@ -139,7 +146,12 @@ def cmd_synth(args) -> int:
         raise UsageError(f"--count must be at least 1, got {args.count}")
     f = synthesize(load_measure(args.measure))
     ts = np.geomspace(args.tmin, args.tmax, args.count)
-    pairs = list(zip(ts.tolist(), _node_values(f, ts).tolist()))
+    vals = _node_values(f, ts)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        t = float(ts[np.argmin(finite)])
+        raise NumericalFailure(f"the synthesized function overflows at t = {t!r}")
+    pairs = list(zip(ts.tolist(), vals.tolist()))
     if args.format == "json":
         text = dump_json({"samples": [[t, v] for t, v in pairs]})
     else:

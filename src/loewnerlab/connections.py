@@ -237,15 +237,32 @@ def _connection_stack(mu: RadonMeasure01, a: np.ndarray, b: np.ndarray) -> np.nd
     _transfer_stack when mu has more than _TRANSFER_ATOMS interior atoms
     and _transfer_rows admits its pair; every other row goes to
     _parallel_sum_stack.  Row i equals the connection of the pair
-    (a[i], b[i]) bit for bit, whatever else the stack holds.
+    (a[i], b[i]) bit for bit, whatever else the stack holds.  A row with a
+    non-finite entry, from weights or operands so large that a route
+    overflows, is a NumericalFailure naming the first such row.
     """
     _require_hermitian(a)
     _require_hermitian(b)
     inner = [(lam, w) for lam, w in mu.atoms if 0.0 < lam < 1.0]
     lam_a, u_a = _pd_eigh(a, "left operand", inverts=bool(inner))
     lam_b, _ = _pd_eigh(b, "right operand", inverts=bool(inner))
-    if not inner:
-        return hermitian_part(mu.alpha * a + mu.beta * b)
+    # large weights or operands can overflow either route; the rows that
+    # did are found below, so the overflow itself makes no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not inner:
+            out = hermitian_part(mu.alpha * a + mu.beta * b)
+        else:
+            out = _route_rows(mu, inner, a, b, lam_a, u_a, lam_b)
+    finite = np.isfinite(out).all(axis=(-2, -1))
+    if not finite.all():
+        raise NumericalFailure(
+            f"connection has a non-finite entry in pair {int(np.argmin(finite))}"
+        )
+    return out
+
+
+def _route_rows(mu, inner, a, b, lam_a, u_a, lam_b) -> np.ndarray:
+    """Each row of the stack through the transfer or the parallel sums."""
     lam = np.array([lk for lk, _ in inner])
     w = np.array([wk for _, wk in inner])
 

@@ -242,26 +242,37 @@ def difference_quotient_transform(f: ScalarFunction, t1: float) -> ScalarFunctio
     """The map t -> dd1(f, t, t1), with derivative t -> dd2(f, t, t, t1).
 
     Its value at t1 itself is f'(t1) via the coincidence limit, and its
-    Loewner matrix over nodes t_i equals [dd2(f, t_i, t_j, t1)].  Its array
-    forms are the kernels over many points: the value is _dd1_values against
-    t1, the slope _anchored_stack on one-node rows anchored at t1.
+    Loewner matrix over nodes t_i equals [dd2(f, t_i, t_j, t1)].  f(t1) is
+    evaluated once, here.  The array forms call the kernels on many points:
+    the value is _dd1_values against t1, the slope _dd2_values on the
+    sorted triples (min(t, t1), t, max(t, t1)), the triples _anchored_stack
+    forms, from f(t), f(t1) and f'(t).  The scalar callables are their
+    one-entry calls.
     """
     if not f.domain.contains_strictly(t1):
         raise UsageError(f"base point {t1} outside the domain of {f.name}")
     t1 = float(t1)
+    f1 = f(t1)
 
     def value(ts):
-        return _dd1_values(f, t1, ts, f(t1), _node_values(f, ts))
+        return _dd1_values(f, t1, ts, f1, _node_values(f, ts))
 
     def slope(ts):
-        rows = ts.reshape(-1, 1)
-        return _anchored_stack(f, rows, np.full(len(rows), t1)).reshape(ts.shape)
+        t = ts.reshape(-1)
+        ft, below = _node_values(f, t), t <= t1
+        return _dd2_values(
+            f, np.minimum(t, t1), t, np.maximum(t, t1),
+            np.where(below, ft, f1), ft, np.where(below, f1, ft), _node_values(f.deriv, t),
+        ).reshape(ts.shape)
+
+    def one_entry(form):
+        return lambda t: form(np.array([t], dtype=np.float64))[0]
 
     return ScalarFunction(
         name=f"diffquot:{f.name}@{t1:g}",
         domain=f.domain,
-        fn=lambda t: dd1(f, t, t1),
-        d1=lambda t: dd2(f, t, t, t1),
+        fn=one_entry(value),
+        d1=one_entry(slope),
         d2=None,
         claimed_class=UNKNOWN,
         array_forms=(value, slope, None),

@@ -13,10 +13,17 @@ masses and s atoms in, and alpha, beta and interior read them back out.
 kernel_inf and lambda_from_s, the s-coordinate references that cross-checks
 compare against, broadcast like kernel01 and give a float for scalar input.
 
+from_half_line refuses a position s whose 1 - lam, after lam = s/(1+s)
+rounds, misses 1/(1+s) by more than HALF_LINE_TOL relative (s past about
+1e7), since the kernel of such an atom is no longer the one the file names.
+
 synthesize turns a measure into a ScalarFunction; fit_measure inverts it by
-nonnegative least squares on a fixed atom grid; endpoint_masses reads the
-t -> 0 constant and t -> inf slope off a synthesized or analytic function by
-geometric-sequence extrapolation.
+nonnegative least squares on a fixed atom grid, through choquet._nnls, the
+package's one NNLS boundary, which scales the samples by a power of two.  It
+measures its residual with choquet._norm, which rescales where the squares
+overflow, and refuses a design matrix past MAX_DESIGN_ENTRIES before forming
+it.  endpoint_masses reads the t -> 0 constant and t -> inf slope off a
+synthesized or analytic function by geometric-sequence extrapolation.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .choquet import _nnls, _norm
 from .errors import NumericalFailure, UsageError
 from .functions import OPERATOR_MONOTONE, ScalarFunction, kernel01, kernel01_d1, kernel01_d2
 from .hermitian import POSITIVE_AXIS
@@ -37,6 +45,13 @@ W_FLOOR = 1e-10
 
 # entries per (points, atoms) block of a mixture's array form, 512 KB
 _MIX_BLOCK = 1 << 16
+
+#: Relative accuracy that 1 - lam must keep for a half-line position s.
+HALF_LINE_TOL = 1e-9
+
+#: Largest samples x atoms design matrix that fit_measure forms, 128 MB.
+#: It also keeps nnls's iteration cap, 50 max(rows, atoms), a C int.
+MAX_DESIGN_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -73,7 +88,9 @@ class RadonMeasure01:
 
         mass0 and mass_inf become atoms at 0 and 1 and each interior s in
         (0, inf) moves to lam = s/(1+s); two positions that land on the same
-        lam are rejected like any repeated atom.
+        lam are rejected like any repeated atom.  Rounding lam costs 1 - lam
+        about eps*s relative, so an s whose 1 - lam misses 1/(1+s) by more
+        than HALF_LINE_TOL relative (s past about 1e7) is refused.
         """
         for label, v in (("mass0", mass0), ("massInf", mass_inf)):
             if not (math.isfinite(v) and v >= 0.0):
@@ -82,7 +99,15 @@ class RadonMeasure01:
         for s, w in interior:
             if not (math.isfinite(s) and s > 0.0):
                 raise UsageError(f"interior position {s} must be in (0, inf)")
-            atoms.append((lambda_from_s(s), w))
+            lam = lambda_from_s(s)
+            err = abs((1.0 - lam) * (1.0 + s) - 1.0)
+            if err > HALF_LINE_TOL:
+                raise UsageError(
+                    f"interior position s = {s:g} is too far out: 1 - lam misses "
+                    f"1/(1+s) by {err:.1e} relative (allowed {HALF_LINE_TOL:g}); "
+                    "an atom that far out acts as massInf"
+                )
+            atoms.append((lam, w))
         if mass_inf > 0.0:
             atoms.append((1.0, mass_inf))
         return cls(atoms=tuple(atoms))
@@ -231,6 +256,15 @@ def default_lambda_grid(n: int = 200) -> np.ndarray:
     return g
 
 
+def _require_design_size(n_samples: int, n_atoms: int) -> None:
+    """Refuse a fit whose design matrix would pass MAX_DESIGN_ENTRIES."""
+    if n_samples * n_atoms > MAX_DESIGN_ENTRIES:
+        raise UsageError(
+            f"{n_samples} samples x {n_atoms} atoms passes the design-matrix "
+            f"limit of {MAX_DESIGN_ENTRIES} entries"
+        )
+
+
 def fit_measure(
     samples, grid, mass_constraint: float | None = None
 ) -> tuple[RadonMeasure01, float]:
@@ -240,7 +274,9 @@ def fit_measure(
     A mass constraint sum w = c is imposed by a quadratic penalty row followed
     by exact rescaling of the result.  Atoms at or below W_FLOOR are dropped;
     the returned residual is recomputed for the measure actually returned.
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs.  A penalty row or a residual that
+    overflows is a NumericalFailure; more than MAX_DESIGN_ENTRIES entries in
+    K is a UsageError.
     """
     samples = [(float(t), float(y)) for t, y in samples]
     if not samples:
@@ -259,22 +295,23 @@ def fit_measure(
             raise UsageError(f"sample values must be positive and finite, got f({t}) = {y}")
     ts = np.array([t for t, _ in samples])
     ys = np.array([y for _, y in samples])
+    _require_design_size(ts.size, grid.size)
     k = kernel01(grid[None, :], ts[:, None])
 
-    from scipy.optimize import nnls
-
-    try:
-        if mass_constraint is None:
-            w, _ = nnls(k, ys, maxiter=50 * max(k.shape))
-        else:
-            if not (math.isfinite(mass_constraint) and mass_constraint > 0.0):
-                raise UsageError(f"mass constraint must be positive, got {mass_constraint}")
-            rho = 1e6 * max(1.0, float(np.abs(ys).max()))
-            kc = np.vstack([k, rho * np.ones((1, k.shape[1]))])
-            yc = np.concatenate([ys, [rho * mass_constraint]])
-            w, _ = nnls(kc, yc, maxiter=50 * max(kc.shape))
-    except RuntimeError as exc:
-        raise NumericalFailure(f"nonnegative least squares did not converge: {exc}") from exc
+    what = "nonnegative least squares did not converge"
+    if mass_constraint is None:
+        w = _nnls(k, ys, what)
+    else:
+        if not (math.isfinite(mass_constraint) and mass_constraint > 0.0):
+            raise UsageError(f"mass constraint must be positive, got {mass_constraint}")
+        rho = 1e6 * max(1.0, float(np.abs(ys).max()))
+        if not math.isfinite(rho * mass_constraint):
+            raise NumericalFailure(
+                f"mass constraint {mass_constraint:g}: its penalty row overflows at "
+                f"samples up to {float(ys.max()):.6g}"
+            )
+        kc = np.vstack([k, rho * np.ones((1, k.shape[1]))])
+        w = _nnls(kc, np.concatenate([ys, [rho * mass_constraint]]), what)
 
     keep = w > W_FLOOR
     if not keep.any():
@@ -282,7 +319,10 @@ def fit_measure(
     w = np.where(keep, w, 0.0)
     if mass_constraint is not None:
         w = w * (mass_constraint / float(w.sum()))
-    residual = float(np.linalg.norm(k @ w - ys))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _norm(k @ w - ys)
+    if not math.isfinite(residual):
+        raise NumericalFailure("the fit's residual overflows")
     order = np.argsort(grid[keep], kind="stable")
     atoms = tuple(zip(grid[keep][order], w[keep][order]))
     return RadonMeasure01(atoms=atoms), residual

@@ -145,7 +145,7 @@ def test_measure_rejects_unknown_shape(tmp_path):
     with pytest.raises(UsageError, match="duplicate"):  # an atom and a node at one lam
         load_measure(str(p))
     p.write_text('{"massInf": 0.5, "interior": [{"s": 1e17, "w": 0.5}]}')
-    with pytest.raises(UsageError, match="duplicate"):  # s = 1e17 rounds to lam = 1
+    with pytest.raises(UsageError, match="massInf"):  # s = 1e17 rounds to lam = 1
         load_measure(str(p))
 
 

@@ -37,8 +37,8 @@ def test_measure_validation():
             half_line(interior=((s, 1.0),))
     with pytest.raises(UsageError, match="duplicate"):
         half_line(interior=((2.0, 0.5), (2.0, 0.25)))
-    # s = 1e17 rounds to lam = 1, where massInf already sits
-    with pytest.raises(UsageError, match="duplicate"):
+    # s = 1e17 rounds to lam = 1, where massInf already sits; its 1 - lam is lost
+    with pytest.raises(UsageError, match="massInf"):
         half_line(mass_inf=0.5, interior=((1e17, 0.5),))
 
 
